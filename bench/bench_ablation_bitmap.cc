@@ -51,7 +51,7 @@ int main() {
                      bench::FormatKb(rrr.SizeInBytes()),
                      bench::FormatMs(plain_rank), bench::FormatMs(rrr_rank),
                      bench::FormatMs(plain_sel), bench::FormatMs(rrr_sel)});
-    if (sink == 0xdeadbeef) std::printf("");  // defeat optimizer
+    if (sink == 0xdeadbeef) std::printf("%s", "");  // defeat optimizer
   }
   return 0;
 }

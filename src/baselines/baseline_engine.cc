@@ -77,7 +77,7 @@ class BaselineEngine::Estimator : public sparql::CardinalityEstimator {
  public:
   explicit Estimator(const BaselineStore* store) : store_(store) {}
 
-  uint64_t Estimate(const TriplePattern& tp) const override {
+  sparql::PatternEstimate Estimate(const TriplePattern& tp) const override {
     const auto id_of = [this](const sparql::TermOrVar& tv) -> OptId {
       if (IsVar(tv)) return std::nullopt;
       const auto id = store_->dict().IdOf(AsTerm(tv));
@@ -86,8 +86,13 @@ class BaselineEngine::Estimator : public sparql::CardinalityEstimator {
     const OptId s = id_of(tp.subject);
     const OptId p = id_of(tp.predicate);
     const OptId o = id_of(tp.object);
-    if ((s && *s == ~0u) || (p && *p == ~0u) || (o && *o == ~0u)) return 0;
-    return store_->EstimateCardinality(s, p, o);
+    sparql::PatternEstimate e;
+    if ((s && *s == ~0u) || (p && *p == ~0u) || (o && *o == ~0u)) return e;
+    // No distinct counts are kept: a free slot takes every row as distinct.
+    e.rows = static_cast<double>(store_->EstimateCardinality(s, p, o));
+    e.subjects = s ? 1 : e.rows;
+    e.objects = o ? 1 : e.rows;
+    return e;
   }
 
  private:
@@ -227,11 +232,12 @@ Result<BindingTable> BaselineEngine::EvaluateGroup(
 Result<BindingTable> BaselineEngine::EvaluateBgp(
     const std::vector<TriplePattern>& triples) {
   const Estimator estimator(store_);
-  const std::vector<size_t> order =
-      sparql::OrderTriplePatterns(triples, estimator);
+  // Index lookups per row: the planner's row-path charges apply.
+  const std::vector<sparql::PlanStep> plan =
+      sparql::OrderTriplePatterns(triples, estimator, /*merge_join=*/false);
   BindingTable table = BindingTable::Unit();
-  for (const size_t idx : order) {
-    ExtendWithTp(triples[idx], &table);
+  for (const sparql::PlanStep& step : plan) {
+    ExtendWithTp(triples[step.pattern], &table);
     if (table.rows.empty()) break;
   }
   return table;

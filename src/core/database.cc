@@ -227,10 +227,10 @@ void Database::PublishSnapshotLocked() {
   // mutating it.
   store_shared_ = true;
   util::MutexLock lk(&snap_mu_);
-  auto next = std::make_shared<ReadState>(*std::atomic_load(&read_state_));
+  auto next = std::make_shared<ReadView>(*std::atomic_load(&read_state_));
   next->snap = std::move(gen);
   std::atomic_store(&read_state_,
-                    std::shared_ptr<const ReadState>(std::move(next)));
+                    std::shared_ptr<const ReadView>(std::move(next)));
 }
 
 void Database::EnsureWritableStoreLocked() {
@@ -278,32 +278,34 @@ std::shared_ptr<const store::StoreGeneration> Database::snapshot() const {
 }
 
 Database::ReadView Database::AcquireReadView() const {
-  const std::shared_ptr<const ReadState> state = std::atomic_load(&read_state_);
-  return {state->snap, state->options};
+  return *std::atomic_load(&read_state_);
 }
 
 void Database::set_reasoning(bool on) {
   util::MutexLock lk(&snap_mu_);
-  auto next = std::make_shared<ReadState>(*std::atomic_load(&read_state_));
+  auto next = std::make_shared<ReadView>(*std::atomic_load(&read_state_));
   next->options.reasoning = on;
+  ++next->options_version;
   std::atomic_store(&read_state_,
-                    std::shared_ptr<const ReadState>(std::move(next)));
+                    std::shared_ptr<const ReadView>(std::move(next)));
 }
 
 void Database::set_merge_join(bool on) {
   util::MutexLock lk(&snap_mu_);
-  auto next = std::make_shared<ReadState>(*std::atomic_load(&read_state_));
+  auto next = std::make_shared<ReadView>(*std::atomic_load(&read_state_));
   next->options.merge_join = on;
+  ++next->options_version;
   std::atomic_store(&read_state_,
-                    std::shared_ptr<const ReadState>(std::move(next)));
+                    std::shared_ptr<const ReadView>(std::move(next)));
 }
 
 void Database::set_optimizer(bool on) {
   util::MutexLock lk(&snap_mu_);
-  auto next = std::make_shared<ReadState>(*std::atomic_load(&read_state_));
+  auto next = std::make_shared<ReadView>(*std::atomic_load(&read_state_));
   next->options.use_optimizer = on;
+  ++next->options_version;
   std::atomic_store(&read_state_,
-                    std::shared_ptr<const ReadState>(std::move(next)));
+                    std::shared_ptr<const ReadView>(std::move(next)));
 }
 
 sparql::Executor::Options Database::options() const {

@@ -290,7 +290,7 @@ class Database {
 
   // -- Execution switches (defaults match the paper's system) ---------------
 
-  // The switches live in the RCU-published ReadState (not under write_mu_:
+  // The switches live in the RCU-published ReadView (not under write_mu_:
   // the writer lock is held across checkpoint I/O, and queries must not
   // stall behind it) and options() hands out a copy, so a toggle
   // concurrent with a running query gives that query one coherent option
@@ -299,6 +299,22 @@ class Database {
   void set_merge_join(bool on) SEDGE_EXCLUDES(snap_mu_);
   void set_optimizer(bool on) SEDGE_EXCLUDES(snap_mu_);
   sparql::Executor::Options options() const;
+
+  /// One coherent read-side view: the pinned generation, the executor
+  /// options and their version, all published at the same instant — the
+  /// RCU read state itself, so they can never be a torn mix. Query /
+  /// QueryCount / ExplainQuery start here, and serve::QueryService keys
+  /// its caches on it. Lock-free: a single atomic shared_ptr load, so a
+  /// herd of reader threads admitting queries never serializes on a
+  /// mutex.
+  struct ReadView {
+    std::shared_ptr<const store::StoreGeneration> snap;
+    sparql::Executor::Options options;
+    /// Bumped by every set_* toggle above (and by nothing else): plans
+    /// and answers cached for one version are stale at the next.
+    uint64_t options_version = 0;
+  };
+  ReadView AcquireReadView() const;
 
   // -- Concurrent reads ------------------------------------------------------
 
@@ -411,30 +427,6 @@ class Database {
     rdf::Triple triple;
   };
 
-  /// One coherent read-side view: the pinned generation and the executor
-  /// options that were published at the same instant — one RCU ReadState,
-  /// so the pair can never be a torn mix. Query/QueryCount/ExplainQuery
-  /// start here. Lock-free: a single atomic shared_ptr load, so a herd of
-  /// reader threads admitting queries never serializes on a mutex (the
-  /// old per-query snap_mu_ critical section was the serve thread pool's
-  /// one shared read-side contention point).
-  struct ReadView {
-    std::shared_ptr<const store::StoreGeneration> snap;
-    sparql::Executor::Options options;
-  };
-  ReadView AcquireReadView() const;
-
-  /// The RCU-published read-side state. Readers obtain it wholesale with
-  /// std::atomic_load (wait-free for them); mutators — option toggles and
-  /// PublishSnapshotLocked — copy the current state, adjust it, and
-  /// std::atomic_store the replacement while holding snap_mu_, which now
-  /// only serializes *publishers* against each other (read-modify-write
-  /// races), never readers.
-  struct ReadState {
-    std::shared_ptr<const store::StoreGeneration> snap;
-    sparql::Executor::Options options;
-  };
-
   // The *Locked helpers required write_mu_ by comment since PR 4; the
   // REQUIRES annotations make the compiler hold callers to it.
   Status EnsureStoreLocked() SEDGE_REQUIRES(write_mu_);
@@ -502,15 +494,16 @@ class Database {
   ontology::Ontology onto_ SEDGE_GUARDED_BY(write_mu_);
 
   // Current writable store (write_mu_) and the RCU-published read state.
-  // read_state_ cannot carry SEDGE_GUARDED_BY: its whole point is that
-  // readers load it without snap_mu_ — the atomic_load/atomic_store
-  // protocol above is the synchronization. The pointee is const, so a
-  // loaded state cannot be mutated after publication. Never null (starts
-  // as an empty ReadState).
+  // Publishers (option toggles, PublishSnapshotLocked) copy the current
+  // view, adjust it and std::atomic_store the replacement under snap_mu_;
+  // readers std::atomic_load it wholesale. read_state_ cannot carry
+  // SEDGE_GUARDED_BY: its whole point is that readers load it without
+  // snap_mu_ — the atomic_load/atomic_store protocol is the
+  // synchronization. The pointee is const, so a loaded state cannot be
+  // mutated after publication. Never null (starts as an empty ReadView).
   std::shared_ptr<store::TripleStore> store_ SEDGE_GUARDED_BY(write_mu_)
       SEDGE_PT_GUARDED_BY(write_mu_);
-  std::shared_ptr<const ReadState> read_state_ =
-      std::make_shared<ReadState>();
+  std::shared_ptr<const ReadView> read_state_ = std::make_shared<ReadView>();
 
   // Background compaction state (write_mu_ unless noted).
   std::thread worker_ SEDGE_GUARDED_BY(write_mu_);

@@ -116,6 +116,9 @@ class ShardedDatabase {
   /// Monotone content version (bumps on loads/writes, not compactions) —
   /// the serve result cache's invalidation key.
   uint64_t content_version() const { return coordinator_.content_version(); }
+  /// Bumped by every execution-switch toggle — the other half of the
+  /// serve caches' key.
+  uint64_t options_version() const { return coordinator_.options_version(); }
   /// The coordinator's registry (dist_* series; serve_* lands here too
   /// when a QueryService fronts this database).
   obs::MetricsRegistry& metrics() const { return coordinator_.metrics(); }

@@ -329,6 +329,7 @@ void Coordinator::set_reasoning(bool on) {
     exec_options_.reasoning = on;
   }
   for (auto& shard : shards_) shard->set_reasoning(on);
+  options_version_.fetch_add(1);
 }
 
 void Coordinator::set_merge_join(bool on) {
@@ -337,6 +338,7 @@ void Coordinator::set_merge_join(bool on) {
     exec_options_.merge_join = on;
   }
   for (auto& shard : shards_) shard->set_merge_join(on);
+  options_version_.fetch_add(1);
 }
 
 void Coordinator::set_optimizer(bool on) {
@@ -345,6 +347,7 @@ void Coordinator::set_optimizer(bool on) {
     exec_options_.use_optimizer = on;
   }
   for (auto& shard : shards_) shard->set_optimizer(on);
+  options_version_.fetch_add(1);
 }
 
 sparql::Executor::Options Coordinator::exec_options() const {

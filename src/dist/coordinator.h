@@ -159,6 +159,9 @@ class Coordinator {
   /// across folds. Exactly the invalidation key a distributed
   /// generation/writes watermark pair would give a single store.
   uint64_t content_version() const { return version_.load(); }
+  /// Bumped by every set_reasoning/set_merge_join/set_optimizer (and by
+  /// nothing else): the options half of a version-keyed cache entry.
+  uint64_t options_version() const { return options_version_.load(); }
 
   /// Coordinator-level dist_* metrics (fan-out, pushdown ratio, join
   /// path counters, skew gauges). Shard engine metrics live in each
@@ -217,6 +220,9 @@ class Coordinator {
   sparql::Executor::Options exec_options_ SEDGE_GUARDED_BY(opt_mu_);
 
   std::atomic<uint64_t> version_{0};
+  // Bumped after a toggle reached every shard, so an entry cached under
+  // the old version was computed with the old options or a later state.
+  std::atomic<uint64_t> options_version_{0};
 
   mutable obs::MetricsRegistry metrics_;
   struct Met {

@@ -35,65 +35,6 @@ void WarmCtypeCaches() {
 
 }  // namespace
 
-// ---------------------------------------------------------------- PlanCache
-
-std::shared_ptr<const QueryService::CachedPlan> QueryService::PlanCache::
-    Lookup(uint64_t generation, const std::string& text) {
-  util::MutexLock lk(&mu_);
-  if (!initialized_ || generation != generation_) {
-    // A base swap re-encoded ids and changed cardinalities; every cached
-    // order is stale at once. (The very first fill is not an
-    // invalidation.)
-    if (initialized_ && !plans_.empty()) invalidations_->Increment();
-    plans_.clear();
-    generation_ = generation;
-    initialized_ = true;
-    return nullptr;
-  }
-  const auto it = plans_.find(text);
-  return it != plans_.end() ? it->second : nullptr;
-}
-
-void QueryService::PlanCache::Store(uint64_t generation,
-                                    const std::string& text,
-                                    std::shared_ptr<const CachedPlan> plan) {
-  util::MutexLock lk(&mu_);
-  if (!initialized_ || generation != generation_) return;  // raced a swap
-  if (plans_.size() >= kMaxEntries) return;  // bounded; keep the hot set
-  plans_.emplace(text, std::move(plan));
-}
-
-// --------------------------------------------------------------- ResultCache
-
-std::shared_ptr<const QueryService::CachedResult> QueryService::ResultCache::
-    Lookup(uint64_t generation, uint64_t writes, const std::string& text) {
-  util::MutexLock lk(&mu_);
-  if (!initialized_ || generation != generation_ || writes != writes_) {
-    // A write batch (or base swap) moved the content epoch; every cached
-    // result describes superseded data. (The first fill is not an
-    // invalidation.)
-    if (initialized_ && !results_.empty()) invalidations_->Increment();
-    results_.clear();
-    generation_ = generation;
-    writes_ = writes;
-    initialized_ = true;
-    return nullptr;
-  }
-  const auto it = results_.find(text);
-  return it != results_.end() ? it->second : nullptr;
-}
-
-void QueryService::ResultCache::Store(
-    uint64_t generation, uint64_t writes, const std::string& text,
-    std::shared_ptr<const CachedResult> result) {
-  util::MutexLock lk(&mu_);
-  if (!initialized_ || generation != generation_ || writes != writes_) {
-    return;  // raced a write
-  }
-  if (results_.size() >= kMaxEntries) return;  // bounded; keep the hot set
-  results_.emplace(text, std::move(result));
-}
-
 // -------------------------------------------------------------- QueryService
 
 QueryService::QueryService(Database* db, ServeOptions options)
@@ -127,9 +68,10 @@ QueryService::QueryService(Database* db, ShardedDatabase* sharded,
   met_.execute_seconds = reg.GetHistogram("serve_execute_seconds");
   met_.queue_depth = reg.GetGauge("serve_queue_depth");
   met_.readers = reg.GetGauge("serve_readers");
-  cache_ = std::make_unique<PlanCache>(met_.plan_cache_invalidations_total);
-  result_cache_ =
-      std::make_unique<ResultCache>(met_.result_cache_invalidations_total);
+  cache_ = std::make_unique<EpochCache<CachedPlan>>(
+      4096, met_.plan_cache_invalidations_total);
+  result_cache_ = std::make_unique<EpochCache<CachedResult>>(
+      1024, met_.result_cache_invalidations_total);
 
   // Readers pin snapshots from arbitrary threads; the writer must stop
   // mutating published stores. In distributed mode every shard gets the
@@ -260,19 +202,26 @@ void QueryService::Serve(Request req) {
 }
 
 void QueryService::ServeLocal(const Request& req, Response* resp) {
-  const std::shared_ptr<const store::StoreGeneration> snap = db_->snapshot();
+  // One coherent view: the pinned snapshot plus the execution switches
+  // and their version (plan and execution must agree on the toggles, and
+  // the cache keys must name the toggles the entry was computed with).
+  const Database::ReadView view = db_->AcquireReadView();
+  const std::shared_ptr<const store::StoreGeneration>& snap = view.snap;
   if (snap == nullptr) {
     resp->status = Status::InvalidArgument("no data loaded");
     return;
   }
   resp->generation = snap->number();
   resp->writes = snap->writes();
+  const Epoch result_epoch{snap->number(), snap->writes(),
+                           view.options_version};
+  const Epoch plan_epoch{snap->number(), 0, view.options_version};
 
-  // Result cache first: the (generation, writes) pair of the pinned
-  // snapshot identifies its content exactly under snapshot isolation, so
-  // a hit skips parse, plan and execution outright.
+  // Result cache first: under snapshot isolation the epoch identifies the
+  // content and the options exactly, so a hit skips parse, plan and
+  // execution outright.
   if (std::shared_ptr<const CachedResult> cached =
-          result_cache_->Lookup(snap->number(), snap->writes(), req.text)) {
+          result_cache_->Lookup(result_epoch, req.text)) {
     resp->result_cache_hit = true;
     met_.result_cache_hits_total->Increment();
     resp->result = cached->result;
@@ -281,11 +230,8 @@ void QueryService::ServeLocal(const Request& req, Response* resp) {
   }
   met_.result_cache_misses_total->Increment();
 
-  // One coherent copy of the execution switches for the whole request
-  // (plan and execution must agree on the toggles).
-  const sparql::Executor::Options exec_options = db_->options();
-  std::shared_ptr<const CachedPlan> plan =
-      cache_->Lookup(snap->number(), req.text);
+  const sparql::Executor::Options& exec_options = view.options;
+  std::shared_ptr<const CachedPlan> plan = cache_->Lookup(plan_epoch, req.text);
   if (plan != nullptr) {
     resp->plan_cache_hit = true;
     met_.plan_cache_hits_total->Increment();
@@ -301,7 +247,7 @@ void QueryService::ServeLocal(const Request& req, Response* resp) {
       const sparql::Executor planner(snap, exec_options);
       built.order = planner.PlanOrder(built.query.where.triples);
       plan = std::make_shared<const CachedPlan>(std::move(built));
-      cache_->Store(snap->number(), req.text, plan);
+      cache_->Store(plan_epoch, req.text, plan);
     }
   }
   if (!resp->status.ok()) return;
@@ -329,8 +275,7 @@ void QueryService::ServeLocal(const Request& req, Response* resp) {
     auto entry = std::make_shared<CachedResult>();
     entry->result = resp->result;
     entry->rows = resp->rows;
-    result_cache_->Store(snap->number(), snap->writes(), req.text,
-                         std::move(entry));
+    result_cache_->Store(result_epoch, req.text, std::move(entry));
   }
 }
 
@@ -339,11 +284,13 @@ void QueryService::ServeSharded(const Request& req, Response* resp) {
   // role: it bumps on every load/write batch and — deliberately — not on
   // compactions, which re-encode shard ids but preserve content.
   const uint64_t version = sharded_->content_version();
+  const uint64_t options_version = sharded_->options_version();
+  const Epoch epoch{version, 0, options_version};
   resp->generation = version;
   resp->writes = 0;
 
   if (std::shared_ptr<const CachedResult> cached =
-          result_cache_->Lookup(version, 0, req.text)) {
+          result_cache_->Lookup(epoch, req.text)) {
     resp->result_cache_hit = true;
     met_.result_cache_hits_total->Increment();
     resp->result = cached->result;
@@ -369,13 +316,14 @@ void QueryService::ServeSharded(const Request& req, Response* resp) {
     }
   }
   // Unlike the single-store path there is no pinned snapshot tying the
-  // result to `version`; only cache when no write landed while the query
-  // ran (the per-shard pins were then all taken at this version).
-  if (resp->status.ok() && sharded_->content_version() == version) {
+  // result to `version`; only cache when no write or toggle landed while
+  // the query ran (the per-shard pins were then all taken at this epoch).
+  if (resp->status.ok() && sharded_->content_version() == version &&
+      sharded_->options_version() == options_version) {
     auto entry = std::make_shared<CachedResult>();
     entry->result = resp->result;
     entry->rows = resp->rows;
-    result_cache_->Store(version, 0, req.text, std::move(entry));
+    result_cache_->Store(epoch, req.text, std::move(entry));
   }
 }
 

@@ -15,10 +15,11 @@
 //     When it is full, Submit() resolves immediately with
 //     StatusCode::kResourceExhausted — backpressure the caller can see,
 //     instead of an unbounded latency tail;
-//   - parsed queries and their join orders are cached per generation
-//     (keyed on the query text, invalidated wholesale when the base
-//     generation swaps under Compact()/CompactAsync()), so steady-state
-//     requests skip the parser and the estimator walk;
+//   - parsed queries and their join orders are cached per (base
+//     generation, options version) (keyed on the query text, invalidated
+//     wholesale when the base swaps under Compact()/CompactAsync() or an
+//     execution switch is toggled), so steady-state requests skip the
+//     parser and the estimator walk;
 //   - per-request latency lands in Database::metrics() as the `serve_*`
 //     series (admission/queue-wait/execute histograms, admitted/rejected/
 //     completed/error counters, plan-cache hit/miss/invalidation
@@ -138,33 +139,65 @@ class QueryService {
     std::vector<size_t> order;
   };
 
-  /// Per-generation plan cache. One generation's plans are alive at a
-  /// time: the first lookup tagged with a newer base generation clears
-  /// the map (the swap re-encoded ids, so cardinality estimates and
-  /// interval routes no longer describe the data).
-  class PlanCache {
-   public:
-    explicit PlanCache(obs::Counter* invalidations)
-        : invalidations_(invalidations) {}
+  /// What a cached entry was computed against: the base generation (or
+  /// the sharded content version), the write watermark (results only;
+  /// plans keep 0 so writes do not evict them) and the executor options
+  /// version. Plans depend on the options (reasoning changes the counts
+  /// and routes, merge join the access paths), answers on all three.
+  struct Epoch {
+    uint64_t generation = 0;
+    uint64_t writes = 0;
+    uint64_t options = 0;
+    friend bool operator==(const Epoch& a, const Epoch& b) {
+      return a.generation == b.generation && a.writes == b.writes &&
+             a.options == b.options;
+    }
+  };
 
-    std::shared_ptr<const CachedPlan> Lookup(uint64_t generation,
-                                             const std::string& text)
-        SEDGE_EXCLUDES(mu_);
-    /// Inserts unless the cache has moved past `generation` (a worker
-    /// that raced a swap must not poison the new generation's cache).
-    void Store(uint64_t generation, const std::string& text,
-               std::shared_ptr<const CachedPlan> plan) SEDGE_EXCLUDES(mu_);
+  /// (epoch, query text) → shared-immutable entry. One epoch's entries
+  /// are alive at a time: the first lookup with a different epoch clears
+  /// the map wholesale — under snapshot isolation the epoch identifies
+  /// the content and the options exactly, so a hit is indistinguishable
+  /// from recomputing. Used for plans and for finished results.
+  template <typename Entry>
+  class EpochCache {
+   public:
+    EpochCache(size_t max_entries, obs::Counter* invalidations)
+        : max_entries_(max_entries), invalidations_(invalidations) {}
+
+    std::shared_ptr<const Entry> Lookup(const Epoch& epoch,
+                                        const std::string& text)
+        SEDGE_EXCLUDES(mu_) {
+      util::MutexLock lk(&mu_);
+      if (!initialized_ || !(epoch == epoch_)) {
+        // Every cached entry is stale at once. (The very first fill is
+        // not an invalidation.)
+        if (initialized_ && !entries_.empty()) invalidations_->Increment();
+        entries_.clear();
+        epoch_ = epoch;
+        initialized_ = true;
+        return nullptr;
+      }
+      const auto it = entries_.find(text);
+      return it != entries_.end() ? it->second : nullptr;
+    }
+    /// Inserts unless the cache has moved past `epoch` (a worker that
+    /// raced a write, swap or toggle must not poison the new epoch).
+    void Store(const Epoch& epoch, const std::string& text,
+               std::shared_ptr<const Entry> entry) SEDGE_EXCLUDES(mu_) {
+      util::MutexLock lk(&mu_);
+      if (!initialized_ || !(epoch == epoch_)) return;
+      if (entries_.size() >= max_entries_) return;  // keep the hot set
+      entries_.emplace(text, std::move(entry));
+    }
 
    private:
-    friend class ::sedge::ThreadSafetyProbe;
-
-    static constexpr size_t kMaxEntries = 4096;
-
+    const size_t max_entries_;
     util::Mutex mu_;
-    uint64_t generation_ SEDGE_GUARDED_BY(mu_) = 0;
+    Epoch epoch_ SEDGE_GUARDED_BY(mu_);
     bool initialized_ SEDGE_GUARDED_BY(mu_) = false;
-    std::unordered_map<std::string, std::shared_ptr<const CachedPlan>>
-        plans_ SEDGE_GUARDED_BY(mu_);
+    std::unordered_map<std::string, std::shared_ptr<const Entry>> entries_
+        SEDGE_GUARDED_BY(mu_);
     obs::Counter* invalidations_;
   };
 
@@ -173,44 +206,6 @@ class QueryService {
   struct CachedResult {
     sparql::QueryResult result;  // empty when the service skips decoding
     uint64_t rows = 0;
-  };
-
-  /// Result cache: (generation epoch, query text) → finished response.
-  /// The epoch is the pair (base generation, write watermark) of the
-  /// snapshot a result was computed against — under snapshot isolation
-  /// that pair identifies the content exactly, so serving a hit is
-  /// indistinguishable from re-executing. Any write bumps the watermark
-  /// and the next lookup clears the map wholesale, the same epoch scheme
-  /// as the plan cache (which only the *base* generation invalidates).
-  /// Distributed mode keys on ShardedDatabase::content_version() with a
-  /// zero watermark — same protocol, coordinator-wide.
-  class ResultCache {
-   public:
-    explicit ResultCache(obs::Counter* invalidations)
-        : invalidations_(invalidations) {}
-
-    std::shared_ptr<const CachedResult> Lookup(uint64_t generation,
-                                               uint64_t writes,
-                                               const std::string& text)
-        SEDGE_EXCLUDES(mu_);
-    /// Inserts unless the cache has moved past the epoch (a worker that
-    /// raced a write must not poison the new epoch's cache).
-    void Store(uint64_t generation, uint64_t writes, const std::string& text,
-               std::shared_ptr<const CachedResult> result)
-        SEDGE_EXCLUDES(mu_);
-
-   private:
-    friend class ::sedge::ThreadSafetyProbe;
-
-    static constexpr size_t kMaxEntries = 1024;
-
-    util::Mutex mu_;
-    uint64_t generation_ SEDGE_GUARDED_BY(mu_) = 0;
-    uint64_t writes_ SEDGE_GUARDED_BY(mu_) = 0;
-    bool initialized_ SEDGE_GUARDED_BY(mu_) = false;
-    std::unordered_map<std::string, std::shared_ptr<const CachedResult>>
-        results_ SEDGE_GUARDED_BY(mu_);
-    obs::Counter* invalidations_;
   };
 
   struct Request {
@@ -244,8 +239,8 @@ class QueryService {
   bool stopping_ SEDGE_GUARDED_BY(mu_) = false;
   std::vector<std::thread> workers_ SEDGE_GUARDED_BY(mu_);
 
-  std::unique_ptr<PlanCache> cache_;
-  std::unique_ptr<ResultCache> result_cache_;
+  std::unique_ptr<EpochCache<CachedPlan>> cache_;
+  std::unique_ptr<EpochCache<CachedResult>> result_cache_;
 
   // serve_* handles resolved once from the database's registry.
   struct Met {

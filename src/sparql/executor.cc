@@ -1,6 +1,7 @@
 #include "sparql/executor.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
 
@@ -40,8 +41,6 @@ class Executor::Decoder : public ValueDecoder {
 
   rdf::Term Decode(const EncodedTerm& value) const override {
     switch (value.space) {
-      case ValueSpace::kRdfType:
-        return rdf::Term::Iri(rdf::kRdfType);
       case ValueSpace::kComputed:
         return (*computed_pool_)[value.id];
       case ValueSpace::kUnbound:
@@ -88,66 +87,131 @@ class Executor::Decoder : public ValueDecoder {
 
 // -------------------------------------------------------------- Estimator
 
+// Statistics for the cost-based planner, read off the structures the scans
+// use. Constant-bound patterns get exact live counts (overlay included):
+// a wavelet rank pair of the object over the predicate's WT_o range, the
+// subject's BM_so run length, the type store's CountTypedIn over the
+// LiteMat interval. Free patterns sum each route's triple count; their
+// distinct subjects and objects take the largest route's, since the
+// routes of one property hierarchy share a domain and range.
 class Executor::Estimator : public CardinalityEstimator {
  public:
   Estimator(const store::TripleStore* store, bool reasoning)
       : store_(store), reasoning_(reasoning) {}
 
-  uint64_t Estimate(const TriplePattern& tp) const override {
+  PatternEstimate Estimate(const TriplePattern& tp) const override {
     const bool s_const = !IsVar(tp.subject);
     const bool o_const = !IsVar(tp.object);
-    if (IsVar(tp.predicate)) return store_->num_triples() + 1;
-    const std::string& p = AsTerm(tp.predicate).lexical();
     const auto& dict = store_->dict();
+    PatternEstimate e;
+    if (IsVar(tp.predicate)) {
+      // Every stored predicate is a route; no count is kept per subject
+      // or object, so bound slots assume an average individual.
+      const double n = static_cast<double>(store_->num_triples());
+      const double per_instance =
+          std::max(1.0, n / std::max<double>(1, dict.num_instances()));
+      e.rows = s_const && o_const ? 1 : s_const || o_const ? per_instance : n;
+      e.subjects = s_const ? 1 : e.rows;
+      e.objects = o_const ? 1 : e.rows;
+      e.routes = static_cast<double>(UnboundPredicateRoutes(*store_).size());
+      return e;
+    }
+    const std::string& p = AsTerm(tp.predicate).lexical();
+    const std::optional<uint64_t> sid =
+        s_const ? dict.InstanceId(AsTerm(tp.subject)) : std::nullopt;
+    if (s_const && !sid) return e;  // unknown subject: no solution
     if (p == rdf::kRdfType) {
-      if (o_const && AsTerm(tp.object).is_iri()) {
-        const auto interval = ConceptIntervalFor(AsTerm(tp.object).lexical());
-        if (!interval) return 0;
-        const uint64_t count = store_->type_view().CountTypedIn(
-            interval->first, interval->second);
-        return s_const ? std::min<uint64_t>(count, 1) : count;
+      const store::delta::MergedTypeView types = store_->type_view();
+      if (o_const) {
+        const rdf::Term& o = AsTerm(tp.object);
+        const auto interval =
+            o.is_iri() ? store_->ConceptIntervalOf(o.lexical(), reasoning_)
+                       : std::nullopt;
+        if (!interval) return e;
+        e.rows = static_cast<double>(
+            sid ? types.FirstConceptIn(*sid, interval->first,
+                                       interval->second)
+                      .has_value()
+                : types.CountTypedIn(interval->first, interval->second));
+        e.subjects = e.rows;
+        e.objects = 1;
+      } else if (sid) {
+        types.ForEachConceptOf(*sid, [&e](uint64_t) { ++e.rows; });
+        e.subjects = 1;
+        e.objects = e.rows;
+      } else {
+        e.rows = static_cast<double>(types.num_triples());
+        e.subjects = e.rows;
+        e.objects = e.rows;
       }
-      if (s_const) return 4;  // typical typings per individual
-      return store_->type_view().num_triples() + 1;
+      return e;
     }
-    // Property counts, hierarchy-aggregated when reasoning (Section 5.1).
-    // Provisional predicates have no hierarchy entry or recorded
-    // statistics; their counts come straight off the merged views —
-    // judged per space, because one IRI can be dictionary-encoded in one
-    // property space and provisionally admitted in the other.
-    uint64_t count = 0;
-    uint64_t pairs = 0;
-    if (reasoning_) {
-      count = dict.PropertyCountAggregated(p);  // 0 outside the hierarchies
-      pairs = count;  // refined below when the exact predicate is stored
-    }
-    if (const auto id = store_->ObjectPropertyIdOf(p)) {
-      if (!reasoning_ || store::schema::IsProvisionalId(*id)) {
-        count += store_->object_view().CountForPredicate(*id);
+
+    const rdf::Term* o = o_const ? &AsTerm(tp.object) : nullptr;
+    const std::vector<Route> routes =
+        ConstRoutes(*store_, p, reasoning_, o, nullptr);
+    e.routes = static_cast<double>(routes.size());
+    const std::optional<uint64_t> oid =
+        o != nullptr && !o->is_literal() ? dict.InstanceId(*o) : std::nullopt;
+    const store::delta::MergedObjectView objects = store_->object_view();
+    const store::delta::MergedDatatypeView literals = store_->datatype_view();
+    for (const Route& r : routes) {
+      uint64_t count = 0;
+      if (r.is_object) {
+        if (o != nullptr && !oid) continue;  // unknown object resource
+        if (sid && oid) {
+          count = objects.Contains(r.pred, *sid, *oid);
+        } else if (sid) {
+          count = objects.CountForSubject(r.pred, *sid);
+        } else if (oid) {
+          count = objects.CountForObject(r.pred, *oid);
+        } else {
+          count = objects.CountForPredicate(r.pred);
+          const uint64_t distinct = objects.EstimateDistinctObjects(r.pred);
+          e.objects = std::max(e.objects, static_cast<double>(distinct));
+        }
+        if (!sid) {
+          const uint64_t pairs = objects.CountSubjectsForPredicate(r.pred);
+          if (!oid) {
+            e.subjects = std::max(e.subjects, static_cast<double>(pairs));
+          }
+          if (objects.HasDeltaFor(r.pred)) {
+            e.probe_walk = std::max(e.probe_walk, static_cast<double>(pairs));
+          }
+        }
+      } else {
+        if (sid && o != nullptr) {
+          count = literals.Contains(r.pred, *sid, *o);
+        } else if (sid) {
+          count = literals.CountForSubject(r.pred, *sid);
+        } else {
+          // No index reaches a literal object: a constant one is charged
+          // objects-per-subject, and every lookup compares the whole run.
+          const uint64_t all = literals.CountForPredicate(r.pred);
+          const uint64_t pairs = literals.CountSubjectsForPredicate(r.pred);
+          count = o == nullptr ? all
+                               : std::max<uint64_t>(
+                                     1, all / std::max<uint64_t>(1, pairs));
+          if (o == nullptr) {
+            e.subjects = std::max(e.subjects, static_cast<double>(pairs));
+            e.objects = std::max(e.objects, static_cast<double>(all));
+          }
+          e.probe_walk = std::max(e.probe_walk, static_cast<double>(all));
+        }
       }
-      pairs = std::max(pairs,
-                       store_->object_view().CountSubjectsForPredicate(*id));
+      e.rows += static_cast<double>(count);
     }
-    if (const auto id = store_->DatatypePropertyIdOf(p)) {
-      if (!reasoning_ || store::schema::IsProvisionalId(*id)) {
-        count += store_->datatype_view().CountForPredicate(*id);
-      }
-      pairs = std::max(
-          pairs, store_->datatype_view().CountSubjectsForPredicate(*id));
+    if (sid) {
+      e.subjects = 1;
+      e.objects = o != nullptr ? 1 : e.rows;
+    } else if (o != nullptr) {
+      e.subjects = e.rows;
+      e.objects = 1;
     }
-    if (s_const && o_const) return 1;
-    if (s_const || o_const) {
-      return std::max<uint64_t>(1, count / std::max<uint64_t>(1, pairs));
-    }
-    return count;
+    return e;
   }
 
  private:
-  std::optional<std::pair<uint64_t, uint64_t>> ConceptIntervalFor(
-      const std::string& iri) const {
-    return store_->ConceptIntervalOf(iri, reasoning_);
-  }
-
   const store::TripleStore* store_;
   bool reasoning_;
 };
@@ -178,13 +242,71 @@ Executor::~Executor() = default;
 
 std::vector<size_t> Executor::PlanOrder(
     const std::vector<TriplePattern>& triples) const {
+  std::vector<size_t> order;
+  order.reserve(triples.size());
+  for (const PlanStep& step : Plan(triples)) order.push_back(step.pattern);
+  return order;
+}
+
+std::vector<PlanStep> Executor::Plan(
+    const std::vector<TriplePattern>& triples) const {
   if (!options_.use_optimizer) {
-    std::vector<size_t> order(triples.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    return order;
+    std::vector<PlanStep> steps(triples.size());
+    for (size_t i = 0; i < steps.size(); ++i) steps[i].pattern = i;
+    return steps;
   }
   const Estimator estimator(store_, options_.reasoning);
-  return OrderTriplePatterns(triples, estimator);
+  return OrderTriplePatterns(triples, estimator, options_.merge_join);
+}
+
+std::vector<Executor::Route> Executor::ConstRoutes(
+    const store::TripleStore& store, const std::string& p, bool reasoning,
+    const rdf::Term* object, uint64_t* provisional) {
+  std::vector<Route> routes;
+  const auto add = [&](bool is_object,
+                       std::optional<std::pair<uint64_t, uint64_t>> interval) {
+    if (!interval) return;
+    if (store::schema::IsProvisionalId(interval->first)) {
+      // A provisional predicate's interval is its leaf [id, id+1): a
+      // single direct route, no inference expansion, no base probe (the
+      // overlay is the only place its triples can live pre-re-encode).
+      routes.push_back({false, is_object, interval->first});
+      if (provisional != nullptr) ++*provisional;
+    } else if (!reasoning) {
+      routes.push_back({false, is_object, interval->first});
+    } else {
+      const auto visit = [&](uint64_t pred) {
+        routes.push_back({false, is_object, pred});
+      };
+      if (is_object) {
+        store.object_view().ForEachPredicateIn(interval->first,
+                                               interval->second, visit);
+      } else {
+        store.datatype_view().ForEachPredicateIn(interval->first,
+                                                 interval->second, visit);
+      }
+    }
+  };
+  // A literal object rules out the object store, a resource the datatype
+  // store.
+  if (object == nullptr || !object->is_literal()) {
+    add(true, store.ObjectPropertyIntervalOf(p, reasoning));
+  }
+  if (object == nullptr || object->is_literal()) {
+    add(false, store.DatatypePropertyIntervalOf(p, reasoning));
+  }
+  return routes;
+}
+
+std::vector<Executor::Route> Executor::UnboundPredicateRoutes(
+    const store::TripleStore& store) {
+  std::vector<Route> routes;
+  store.object_view().ForEachPredicateIn(
+      0, ~0ULL, [&](uint64_t pred) { routes.push_back({false, true, pred}); });
+  store.datatype_view().ForEachPredicateIn(
+      0, ~0ULL, [&](uint64_t pred) { routes.push_back({false, false, pred}); });
+  if (store.type_view().num_triples() > 0) routes.push_back({true, false, 0});
+  return routes;
 }
 
 Result<BindingTable> Executor::ExecuteEncoded(const Query& query) {
@@ -315,24 +437,25 @@ std::string PatternToString(const TriplePattern& tp) {
 Result<BindingTable> Executor::EvaluateBgp(
     const std::vector<TriplePattern>& triples) {
   BindingTable table = BindingTable::Unit();
-  std::vector<size_t> order;
+  std::vector<PlanStep> plan;
   // A cached plan covers the top-level BGP only; consume the hint so a
   // nested group (union alternative) never inherits a foreign order.
   const std::vector<size_t>* hint = plan_hint_;
   plan_hint_ = nullptr;
   if (hint != nullptr && hint->size() == triples.size()) {
-    order = *hint;
+    for (const size_t idx : *hint) plan.push_back({idx, 0, 0});
   } else if (profile_ != nullptr) {
     obs::ProfileNode* optimize = profile_->AddChild("optimize");
     obs::ProfileTimer plan_timer(optimize);
-    order = PlanOrder(triples);
+    plan = Plan(triples);
     plan_timer.Stop();
     optimize->AddStat("patterns", static_cast<int64_t>(triples.size()));
   } else {
-    order = PlanOrder(triples);
+    plan = Plan(triples);
   }
-  for (const size_t idx : order) {
-    const TriplePattern& tp = triples[idx];
+  const bool estimated = hint == nullptr && options_.use_optimizer;
+  for (const PlanStep& step : plan) {
+    const TriplePattern& tp = triples[step.pattern];
     if (profile_ == nullptr) {
       SEDGE_RETURN_NOT_OK(ExtendWithTp(tp, &table));
     } else {
@@ -354,6 +477,12 @@ Result<BindingTable> Executor::EvaluateBgp(
                     : row > 0                     ? "/row"
                                                   : "/empty";
       node->AddStat("rows_out", static_cast<int64_t>(table.rows.size()));
+      if (estimated) {
+        // The planner's view next to the measured rows_out, so a
+        // misestimate shows in the profile itself.
+        node->AddStat("est_rows", std::llround(step.est_rows));
+        node->AddStat("est_cost", std::llround(step.est_cost));
+      }
       node->AddStat("merge_join_extends", static_cast<int64_t>(merge_join));
       node->AddStat(
           "merge_join_delta_extends",
@@ -558,55 +687,14 @@ Status Executor::ExtendRegularTp(const TriplePattern& tp,
   const auto& dict = store_->dict();
 
   // Routes for a constant predicate are row-independent.
-  struct Route {
-    bool is_type = false;
-    bool is_object = false;  // vs datatype
-    uint64_t pred = 0;
-  };
-  std::vector<Route> const_routes;
   const bool object_is_literal_const =
       o_slot.is_const && o_slot.const_term->is_literal();
+  std::vector<Route> const_routes;
   if (p_slot.is_const) {
-    const std::string& p = p_slot.const_term->lexical();
-    // Object-property routes (skipped when the object is a literal). A
-    // provisional predicate's interval is its leaf [id, id+1): it becomes
-    // a single direct route — no inference expansion, no base probe (the
-    // overlay is the only place its triples can live pre-re-encode).
-    if (!object_is_literal_const) {
-      if (const auto interval =
-              store_->ObjectPropertyIntervalOf(p, options_.reasoning)) {
-        if (store::schema::IsProvisionalId(interval->first)) {
-          const_routes.push_back({false, true, interval->first});
-          ++stats_.provisional_routes;
-        } else if (options_.reasoning) {
-          store_->object_view().ForEachPredicateIn(
-              interval->first, interval->second, [&](uint64_t pred) {
-                const_routes.push_back({false, true, pred});
-              });
-        } else {
-          const_routes.push_back({false, true, interval->first});
-        }
-      }
-    }
-    // Datatype routes (skipped when the object is a bound resource).
-    const bool object_is_resource_const =
-        o_slot.is_const && !o_slot.const_term->is_literal();
-    if (!object_is_resource_const) {
-      if (const auto interval =
-              store_->DatatypePropertyIntervalOf(p, options_.reasoning)) {
-        if (store::schema::IsProvisionalId(interval->first)) {
-          const_routes.push_back({false, false, interval->first});
-          ++stats_.provisional_routes;
-        } else if (options_.reasoning) {
-          store_->datatype_view().ForEachPredicateIn(
-              interval->first, interval->second, [&](uint64_t pred) {
-                const_routes.push_back({false, false, pred});
-              });
-        } else {
-          const_routes.push_back({false, false, interval->first});
-        }
-      }
-    }
+    const_routes = ConstRoutes(*store_, p_slot.const_term->lexical(),
+                               options_.reasoning,
+                               o_slot.is_const ? o_slot.const_term : nullptr,
+                               &stats_.provisional_routes);
   }
 
   if (tp_node_ != nullptr) {
@@ -617,15 +705,11 @@ Status Executor::ExtendRegularTp(const TriplePattern& tp,
 
   // Merge-join fast path: subject-bound star extension over concrete
   // predicates (possibly several after reasoning expansion).
-  if (p_slot.is_const && !const_routes.empty() && options_.merge_join) {
-    std::vector<PredRoute> routes;
-    routes.reserve(const_routes.size());
-    for (const Route& r : const_routes) routes.push_back({r.is_object, r.pred});
-    if (TryMergeJoinExtend(tp, routes, table)) {
-      ++stats_.merge_join_extends;
-      if (store_->has_delta()) ++stats_.merge_join_delta_extends;
-      return Status::OK();
-    }
+  if (p_slot.is_const && !const_routes.empty() && options_.merge_join &&
+      TryMergeJoinExtend(tp, const_routes, table)) {
+    ++stats_.merge_join_extends;
+    if (store_->has_delta()) ++stats_.merge_join_delta_extends;
+    return Status::OK();
   }
 
   BindingTable out;
@@ -651,28 +735,24 @@ Status Executor::ExtendRegularTp(const TriplePattern& tp,
           ? dict.InstanceId(*o_slot.const_term)
           : std::nullopt;
 
-  // Routes for an unbound predicate variable — every stored predicate
-  // plus rdf:type — are row-independent; enumerate them once, lazily
-  // (the wavelet-tree predicate scans are too costly to repeat per row).
+  // Routes for an unbound predicate variable are row-independent;
+  // enumerate them once, lazily (the wavelet-tree predicate scans are too
+  // costly to repeat per row).
   std::optional<std::vector<Route>> unbound_routes;
-  const auto unbound_predicate_routes = [&]() -> const std::vector<Route>& {
-    if (!unbound_routes) {
-      unbound_routes.emplace();
-      store_->object_view().ForEachPredicateIn(
-          0, ~0ULL,
-          [&](uint64_t pred) { unbound_routes->push_back({false, true, pred}); });
-      store_->datatype_view().ForEachPredicateIn(
-          0, ~0ULL,
-          [&](uint64_t pred) { unbound_routes->push_back({false, false, pred}); });
-      if (store_->type_view().num_triples() > 0) {
-        unbound_routes->push_back({true, false, 0});
-      }
+
+  // One solution entailed through several routes of a constant predicate
+  // is emitted once: repeats are dropped per input row over the columns
+  // the pattern adds.
+  std::vector<int> new_cols;
+  if (const_routes.size() > 1) {
+    for (const int c : {s_newcol, o_newcol}) {
+      if (c >= 0) new_cols.push_back(c);
     }
-    return *unbound_routes;
-  };
+  }
 
   std::vector<Route> row_routes;  // scratch for a bound predicate variable
   for (const auto& row : table->rows) {
+    const size_t first_out = out.rows.size();
     // Subject resolution.
     std::optional<uint64_t> sid;
     if (s_slot.is_const) {
@@ -713,7 +793,8 @@ Status Executor::ExtendRegularTp(const TriplePattern& tp,
       }
       routes = &row_routes;
     } else {
-      routes = &unbound_predicate_routes();
+      if (!unbound_routes) unbound_routes = UnboundPredicateRoutes(*store_);
+      routes = &*unbound_routes;
     }
 
     // Object resolution (space depends on the route; resolve lazily).
@@ -835,6 +916,7 @@ Status Executor::ExtendRegularTp(const TriplePattern& tp,
         dts.ScanP(route.pred, sink);
       }
     }
+    if (const_routes.size() > 1) DropRepeats(&out.rows, first_out, new_cols);
   }
   ++stats_.row_extends;
   *table = std::move(out);
@@ -842,26 +924,30 @@ Status Executor::ExtendRegularTp(const TriplePattern& tp,
 }
 
 bool Executor::TryMergeJoinExtend(const TriplePattern& tp,
-                                  const std::vector<PredRoute>& routes,
+                                  const std::vector<Route>& routes,
                                   BindingTable* table) {
   const Slot s_slot = MakeSlot(tp.subject, *table);
   const Slot o_slot = MakeSlot(tp.object, *table);
-  // Preconditions: subject var already bound, object a fresh var or a
-  // constant, no repeated variable.
+  // Preconditions: subject var already bound; object a fresh var, a
+  // constant, or a bound var (a semi-join); no repeated variable.
   if (!s_slot.is_var || s_slot.col < 0) return false;
-  if (o_slot.is_var && (o_slot.col >= 0 || o_slot.var == s_slot.var)) {
-    return false;
-  }
-  // All subject bindings must be plain instances (space conversions take
-  // the general path).
+  if (o_slot.is_var && o_slot.var == s_slot.var) return false;
+  const int o_col = o_slot.is_var ? o_slot.col : -1;
+  // Subject bindings must be plain instances and bound objects instances
+  // or literals (other space conversions take the general path).
   for (const auto& row : table->rows) {
     if (row[s_slot.col].space != ValueSpace::kInstance) return false;
+    if (o_col >= 0 && row[o_col].space != ValueSpace::kInstance &&
+        row[o_col].space != ValueSpace::kLiteral &&
+        row[o_col].space != ValueSpace::kComputed) {
+      return false;
+    }
   }
 
   BindingTable out;
   out.vars = table->vars;
-  int o_newcol = -1;
-  if (o_slot.is_var) o_newcol = out.AddVar(o_slot.var);
+  const int o_newcol =
+      o_slot.is_var && o_col < 0 ? out.AddVar(o_slot.var) : -1;
 
   // Object constant, resolved per object kind.
   std::optional<uint64_t> const_oid;
@@ -903,68 +989,147 @@ bool Executor::TryMergeJoinExtend(const TriplePattern& tp,
     row_window[r] = subjects.size() - 1;
   }
 
-  const auto emit = [&](size_t row_idx, const EncodedTerm* o_val) {
-    std::vector<EncodedTerm> extended = table->rows[row_idx];
-    extended.resize(out.vars.size(), kUnboundValue);
-    if (o_newcol >= 0 && o_val != nullptr) extended[o_newcol] = *o_val;
-    out.rows.push_back(std::move(extended));
-  };
-
   const store::delta::MergedObjectView pso = store_->object_view();
   const store::delta::MergedDatatypeView dts = store_->datatype_view();
-  for (const PredRoute& route : routes) {
+  std::vector<store::delta::MergedObjectView::RunCursor> object_runs;
+  std::vector<store::delta::MergedDatatypeView::RunCursor> literal_runs;
+  for (const Route& route : routes) {
     if (route.is_object) {
       if (const_literal) continue;  // literal never matches a resource
       auto cursor = pso.OpenRun(route.pred);
       if (!cursor.valid()) continue;
       cursor.SeekBatch(subjects.data(), subjects.size());
-      size_t cur_window = ~size_t{0};
-      for (size_t r = 0; r < order.size(); ++r) {
-        const size_t idx = order[r];
-        if (row_window[r] != cur_window) {
-          cur_window = row_window[r];
-          cursor.SelectWindow(cur_window);
-        }
-        if (!cursor.has_current()) continue;
-        if (const_oid) {
-          if (cursor.ContainsObject(*const_oid)) emit(idx, nullptr);
-        } else {
-          cursor.ForEachObject([&](uint64_t o) {
-            const EncodedTerm value{ValueSpace::kInstance, o};
-            emit(idx, &value);
-            return true;
-          });
+      object_runs.push_back(std::move(cursor));
+    } else {
+      if (const_oid) continue;  // resource never matches a literal
+      auto cursor = dts.OpenRun(route.pred);
+      if (!cursor.valid()) continue;
+      cursor.SeekBatch(subjects.data(), subjects.size());
+      literal_runs.push_back(std::move(cursor));
+    }
+  }
+  const bool several_runs = object_runs.size() + literal_runs.size() > 1;
+  const std::vector<int> new_cols =
+      o_newcol >= 0 ? std::vector<int>{o_newcol} : std::vector<int>{};
+
+  // Rows are visited in subject order; for each, every route's window is
+  // current at once, so the routes' answers for one row are adjacent and
+  // a solution two routes entail is emitted once.
+  size_t cur_window = ~size_t{0};
+  for (size_t r = 0; r < order.size(); ++r) {
+    const std::vector<EncodedTerm>& row = table->rows[order[r]];
+    if (row_window[r] != cur_window) {
+      cur_window = row_window[r];
+      for (auto& cursor : object_runs) cursor.SelectWindow(cur_window);
+      for (auto& cursor : literal_runs) cursor.SelectWindow(cur_window);
+    }
+    const auto emit = [&](const EncodedTerm* o_val) {
+      std::vector<EncodedTerm> extended = row;
+      extended.resize(out.vars.size(), kUnboundValue);
+      if (o_val != nullptr) extended[o_newcol] = *o_val;
+      out.rows.push_back(std::move(extended));
+    };
+
+    if (o_newcol < 0) {
+      // Constant or bound object: keep the row if any route holds the
+      // (subject, object) triple.
+      std::optional<uint64_t> oid = const_oid;
+      std::optional<rdf::Term> literal = const_literal;
+      if (o_col >= 0) {
+        if (row[o_col].space == ValueSpace::kInstance) {
+          oid = row[o_col].id;
+        } else if (!literal_runs.empty()) {
+          literal = decoder_->Decode(row[o_col]);
         }
       }
+      bool hit = false;
+      if (oid) {
+        for (const auto& cursor : object_runs) {
+          if (cursor.has_current() && cursor.ContainsObject(*oid)) {
+            hit = true;
+            break;
+          }
+        }
+      }
+      if (!hit && literal && literal->is_literal()) {
+        for (const auto& cursor : literal_runs) {
+          if (!cursor.has_current()) continue;
+          cursor.ForEachLiteral([&](uint64_t pos) {
+            hit = dts.LiteralAt(pos) == *literal;
+            return !hit;
+          });
+          if (hit) break;
+        }
+      }
+      if (hit) emit(nullptr);
       continue;
     }
-    // Datatype route. Emitted positions may carry kDeltaLiteralBit; the
-    // binding keeps them verbatim and the decode path routes both pools.
-    if (const_oid) continue;  // resource never matches a literal
-    auto cursor = dts.OpenRun(route.pred);
-    if (!cursor.valid()) continue;
-    cursor.SeekBatch(subjects.data(), subjects.size());
-    size_t cur_window = ~size_t{0};
-    for (size_t r = 0; r < order.size(); ++r) {
-      const size_t idx = order[r];
-      if (row_window[r] != cur_window) {
-        cur_window = row_window[r];
-        cursor.SelectWindow(cur_window);
-      }
+
+    const size_t first_out = out.rows.size();
+    for (const auto& cursor : object_runs) {
       if (!cursor.has_current()) continue;
-      cursor.ForEachLiteral([&](uint64_t pos) {
-        if (const_literal) {
-          if (dts.LiteralAt(pos) == *const_literal) emit(idx, nullptr);
-        } else {
-          const EncodedTerm value{ValueSpace::kLiteral, pos};
-          emit(idx, &value);
-        }
+      cursor.ForEachObject([&](uint64_t o) {
+        const EncodedTerm value{ValueSpace::kInstance, o};
+        emit(&value);
         return true;
       });
     }
+    // Emitted literal positions may carry kDeltaLiteralBit; the binding
+    // keeps them verbatim and the decode path routes both pools.
+    for (const auto& cursor : literal_runs) {
+      if (!cursor.has_current()) continue;
+      cursor.ForEachLiteral([&](uint64_t pos) {
+        const EncodedTerm value{ValueSpace::kLiteral, pos};
+        emit(&value);
+        return true;
+      });
+    }
+    if (several_runs) DropRepeats(&out.rows, first_out, new_cols);
   }
   *table = std::move(out);
   return true;
+}
+
+void Executor::DropRepeats(std::vector<std::vector<EncodedTerm>>* rows,
+                           size_t begin, const std::vector<int>& cols) const {
+  if (rows->size() - begin < 2) return;
+  const auto first = rows->begin() + static_cast<ptrdiff_t>(begin);
+  const auto is_literal = [](const EncodedTerm& v) {
+    return v.space == ValueSpace::kLiteral || v.space == ValueSpace::kComputed;
+  };
+  bool literals = false;
+  for (auto it = first; it != rows->end(); ++it) {
+    for (const int c : cols) literals = literals || is_literal((*it)[c]);
+  }
+  if (literals) {
+    // Equal literals may sit at distinct pool positions: compare their
+    // canonical form, keeping the first of each.
+    std::set<std::string> seen;
+    const auto kept = std::remove_if(first, rows->end(), [&](const auto& row) {
+      std::string key;
+      for (const int c : cols) {
+        key += CanonicalKey(row[c]);
+        key += '\x1f';
+      }
+      return !seen.insert(std::move(key)).second;
+    });
+    rows->erase(kept, rows->end());
+    return;
+  }
+  const auto less = [&cols](const std::vector<EncodedTerm>& a,
+                            const std::vector<EncodedTerm>& b) {
+    for (const int c : cols) {
+      if (a[c].space != b[c].space) return a[c].space < b[c].space;
+      if (a[c].id != b[c].id) return a[c].id < b[c].id;
+    }
+    return false;
+  };
+  std::sort(first, rows->end(), less);
+  const auto kept = std::unique(
+      first, rows->end(), [&less](const auto& a, const auto& b) {
+        return !less(a, b) && !less(b, a);
+      });
+  rows->erase(kept, rows->end());
 }
 
 Status Executor::ApplyBind(const Bind& bind, BindingTable* table) {

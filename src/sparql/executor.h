@@ -33,6 +33,7 @@
 #include "obs/query_profile.h"
 #include "sparql/ast.h"
 #include "sparql/expression.h"
+#include "sparql/optimizer.h"
 #include "sparql/result_table.h"
 #include "store/store_generation.h"
 #include "store/triple_store.h"
@@ -62,7 +63,7 @@ class Executor {
   struct Options {
     bool reasoning = true;      // LiteMat interval rewriting
     bool merge_join = true;     // PSO-order merge join on SS star joins
-    bool use_optimizer = true;  // Algorithm 1 ordering (false: textual order)
+    bool use_optimizer = true;  // cost-based ordering (false: textual order)
   };
 
   /// Constructs with default options (reasoning, merge join and the
@@ -87,6 +88,9 @@ class Executor {
 
   /// Join order chosen for `triples` (exposed for tests and Table 3).
   std::vector<size_t> PlanOrder(const std::vector<TriplePattern>& triples) const;
+  /// The same order with the planner's row and cost estimate per step
+  /// (empty estimates when the optimizer is off: textual order).
+  std::vector<PlanStep> Plan(const std::vector<TriplePattern>& triples) const;
 
   /// Supplies a precomputed join order for the top-level BGP, consumed by
   /// the first EvaluateBgp (nested union groups still plan themselves).
@@ -116,10 +120,23 @@ class Executor {
 
   // One concrete predicate to scan (a reasoning interval may expand a
   // query predicate into several of these, across both stores).
-  struct PredRoute {
-    bool is_object;  // object-triple store vs datatype-triple store
-    uint64_t pred;
+  struct Route {
+    bool is_type = false;    // rdf:type triples (variable predicates only)
+    bool is_object = false;  // object-triple store vs datatype-triple store
+    uint64_t pred = 0;
   };
+  // Routes of the constant predicate IRI `p`: with reasoning, every stored
+  // predicate inside its LiteMat interval; a provisional predicate is its
+  // own single route. A constant `object` (or null) rules out the store it
+  // cannot match. Provisional routes are added to `*provisional` if given.
+  static std::vector<Route> ConstRoutes(const store::TripleStore& store,
+                                        const std::string& p, bool reasoning,
+                                        const rdf::Term* object,
+                                        uint64_t* provisional);
+  // Routes of an unbound predicate variable: every stored predicate plus
+  // rdf:type.
+  static std::vector<Route> UnboundPredicateRoutes(
+      const store::TripleStore& store);
 
   Result<BindingTable> EvaluateGroup(const GroupPattern& group);
   Result<BindingTable> EvaluateBgp(const std::vector<TriplePattern>& triples);
@@ -131,8 +148,13 @@ class Executor {
   // RunCursor. Returns false if preconditions fail (caller falls back to
   // the row-by-row path).
   bool TryMergeJoinExtend(const TriplePattern& tp,
-                          const std::vector<PredRoute>& routes,
+                          const std::vector<Route>& routes,
                           BindingTable* table);
+  // Drops rows of (*rows)[begin, end) that repeat another row of that
+  // range in every column of `cols`: one solution entailed through two
+  // routes of a pattern.
+  void DropRepeats(std::vector<std::vector<store::EncodedTerm>>* rows,
+                   size_t begin, const std::vector<int>& cols) const;
   Status ApplyBind(const Bind& bind, BindingTable* table);
   void ApplyFilter(const Expr& filter, BindingTable* table);
   BindingTable JoinTables(BindingTable left, BindingTable right) const;

@@ -39,30 +39,11 @@ QueryGraph::QueryGraph(const std::vector<TriplePattern>& triples)
   }
 }
 
-std::vector<QueryGraphEdge> QueryGraph::EdgesOf(size_t i) const {
-  std::vector<QueryGraphEdge> out;
-  for (const QueryGraphEdge& e : edges_) {
-    if (e.a == i || e.b == i) out.push_back(e);
-  }
-  return out;
-}
-
 bool QueryGraph::Connected(size_t i, size_t j) const {
   for (const QueryGraphEdge& e : edges_) {
     if ((e.a == i && e.b == j) || (e.a == j && e.b == i)) return true;
   }
   return false;
-}
-
-int QueryGraph::JoinRank(JoinType t) {
-  switch (t) {
-    case JoinType::kSS: return 0;
-    case JoinType::kSO: return 1;
-    case JoinType::kOS: return 1;
-    case JoinType::kOO: return 2;
-    case JoinType::kOther: return 3;
-  }
-  return 3;
 }
 
 }  // namespace sedge::sparql

@@ -53,16 +53,8 @@ class QueryGraph {
   /// True if node `i`'s predicate is the rdf:type constant.
   bool IsTypeNode(size_t i) const { return is_type_[i]; }
 
-  /// Edges incident to node `i`.
-  std::vector<QueryGraphEdge> EdgesOf(size_t i) const;
-
   /// True if nodes `i` and `j` share at least one variable.
   bool Connected(size_t i, size_t j) const;
-
-  /// Best (lowest-rank) join type on any edge between `i` and `j`, where
-  /// SS < SO/OS < OO < Other, or nullopt if unconnected. The ordering
-  /// encodes the paper's S⋈S > S⋈O preference for the PSO layout.
-  static int JoinRank(JoinType t);
 
  private:
   size_t num_nodes_;

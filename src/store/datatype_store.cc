@@ -251,6 +251,16 @@ uint64_t DatatypeStore::CountSubjectsForPredicate(uint64_t p) const {
   return se - sb;
 }
 
+uint64_t DatatypeStore::CountForSubject(uint64_t p, uint64_t s) const {
+  const auto pos = PredicatePos(p);
+  if (!pos) return 0;
+  const auto [sb, se] = SubjectRange(*pos);
+  const auto [qb, qe] = FindPairForSubject(sb, se, s);
+  if (qb == qe) return 0;
+  const auto [ob, oe] = ObjectRange(qb);
+  return oe - ob;
+}
+
 uint64_t DatatypeStore::SizeInBytes() const {
   uint64_t total = sizeof(*this);
   total += wt_p_.SizeInBytes() + bm_ps_.SizeInBytes() + wt_s_.SizeInBytes() +

@@ -89,6 +89,8 @@ class DatatypeStore {
 
   uint64_t CountForPredicate(uint64_t p) const;
   uint64_t CountSubjectsForPredicate(uint64_t p) const;
+  /// Triples (s, p, ?o): the length of the (p,s) run in BM_so.
+  uint64_t CountForSubject(uint64_t p, uint64_t s) const;
 
   // -- Merge-join support (mirrors PsoIndex) --------------------------------
 

@@ -196,6 +196,36 @@ uint64_t MergedObjectView::CountSubjectsForPredicate(uint64_t p) const {
   return count;
 }
 
+uint64_t MergedObjectView::CountForSubject(uint64_t p, uint64_t s) const {
+  uint64_t count = base_ != nullptr ? base_->CountForSubject(p, s) : 0;
+  if (overlay_ != nullptr && !overlay_->empty()) {
+    const auto [ab, ae] = overlay_->AddsForPair(p, s);
+    const auto [db, de] = overlay_->TombstonesForPair(p, s);
+    count += static_cast<uint64_t>(ae - ab);
+    count -= static_cast<uint64_t>(de - db);
+  }
+  return count;
+}
+
+uint64_t MergedObjectView::CountForObject(uint64_t p, uint64_t o) const {
+  uint64_t count = base_ != nullptr ? base_->CountForObject(p, o) : 0;
+  if (overlay_ != nullptr && !overlay_->empty()) {
+    const auto [ab, ae] = overlay_->AddsForPredicate(p);
+    const auto [db, de] = overlay_->TombstonesForPredicate(p);
+    for (const IdTriple* it = ab; it < ae; ++it) count += it->o == o;
+    for (const IdTriple* it = db; it < de; ++it) count -= it->o == o;
+  }
+  return count;
+}
+
+uint64_t MergedObjectView::EstimateDistinctObjects(uint64_t p) const {
+  const uint64_t base =
+      base_ != nullptr ? base_->EstimateDistinctObjects(p) : 0;
+  if (base > 0 || overlay_ == nullptr || overlay_->empty()) return base;
+  const auto [ab, ae] = overlay_->AddsForPredicate(p);
+  return static_cast<uint64_t>(ae - ab);
+}
+
 MergedObjectView::RunCursor MergedObjectView::OpenRun(uint64_t p) const {
   RunCursor cursor;
   if (base_ != nullptr) {
@@ -481,6 +511,17 @@ uint64_t MergedDatatypeView::CountSubjectsForPredicate(uint64_t p) const {
         prev = it->s;
       }
     }
+  }
+  return count;
+}
+
+uint64_t MergedDatatypeView::CountForSubject(uint64_t p, uint64_t s) const {
+  uint64_t count = base_ != nullptr ? base_->CountForSubject(p, s) : 0;
+  if (overlay_ != nullptr && !overlay_->empty()) {
+    const auto [ab, ae] = overlay_->AddsForPair(p, s);
+    const auto [db, de] = overlay_->TombstonesForPair(p, s);
+    count += static_cast<uint64_t>(ae - ab);
+    count -= static_cast<uint64_t>(de - db);
   }
   return count;
 }

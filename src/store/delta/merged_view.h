@@ -168,10 +168,21 @@ class MergedObjectView {
   uint64_t CountForPredicate(uint64_t p) const;
   /// Distinct-subject estimate (delta subjects may repeat base ones).
   uint64_t CountSubjectsForPredicate(uint64_t p) const;
+  /// Exact live counts of (s, p, ?o) and (?s, p, o): the base count plus
+  /// the overlay's adds minus its tombstones (which only name base
+  /// triples).
+  uint64_t CountForSubject(uint64_t p, uint64_t s) const;
+  uint64_t CountForObject(uint64_t p, uint64_t o) const;
+  /// PsoIndex::EstimateDistinctObjects of the base, or the overlay's add
+  /// count for a predicate the base lacks.
+  uint64_t EstimateDistinctObjects(uint64_t p) const;
 
- private:
+  /// Whether the overlay holds adds or tombstones for `p`. ScanPO then
+  /// walks every subject pair of the predicate instead of the wavelet
+  /// object index, which the planner must charge for.
   bool HasDeltaFor(uint64_t p) const;
 
+ private:
   const PsoIndex* base_;
   const ObjectDelta* overlay_;  // may be nullptr
 };
@@ -288,6 +299,8 @@ class MergedDatatypeView {
 
   uint64_t CountForPredicate(uint64_t p) const;
   uint64_t CountSubjectsForPredicate(uint64_t p) const;
+  /// Exact live count of (s, p, ?o), as MergedObjectView::CountForSubject.
+  uint64_t CountForSubject(uint64_t p, uint64_t s) const;
 
   rdf::Term LiteralAt(uint64_t pos) const;
   std::string LexicalAt(uint64_t pos) const;

@@ -92,6 +92,47 @@ uint64_t PsoIndex::CountSubjectsForPredicate(uint64_t p) const {
   return se - sb;
 }
 
+uint64_t PsoIndex::CountForSubject(uint64_t p, uint64_t s) const {
+  const auto pos = PredicatePos(p);
+  if (!pos) return 0;
+  const auto [sb, se] = SubjectRange(*pos);
+  const auto [qb, qe] = FindPairForSubject(sb, se, s);
+  if (qb == qe) return 0;
+  const auto [ob, oe] = ObjectRange(qb);
+  return oe - ob;
+}
+
+uint64_t PsoIndex::CountForObject(uint64_t p, uint64_t o) const {
+  const auto pos = PredicatePos(p);
+  if (!pos) return 0;
+  const auto [sb, se] = SubjectRange(*pos);
+  uint64_t before = 0;
+  uint64_t upto = 0;
+  wt_o_.RankPairBatch(bm_so_.Select1(sb + 1), bm_so_.Select1(se + 1), &o, 1,
+                      &before, &upto);
+  return upto - before;
+}
+
+uint64_t PsoIndex::EstimateDistinctObjects(uint64_t p) const {
+  const auto pos = PredicatePos(p);
+  if (!pos) return 0;
+  const auto [sb, se] = SubjectRange(*pos);
+  const uint64_t ob = bm_so_.Select1(sb + 1);
+  const uint64_t oe = bm_so_.Select1(se + 1);
+  const uint64_t n = oe - ob;
+  if (n == 0) return 0;
+  constexpr uint64_t kSamples = 3;
+  uint64_t occurrences = 0;
+  for (uint64_t k = 0; k < kSamples; ++k) {
+    const uint64_t o = wt_o_.Access(ob + (2 * k + 1) * n / (2 * kSamples));
+    uint64_t before = 0;
+    uint64_t upto = 0;
+    wt_o_.RankPairBatch(ob, oe, &o, 1, &before, &upto);
+    occurrences += upto - before;
+  }
+  return std::max<uint64_t>(1, n * kSamples / occurrences);
+}
+
 bool PsoIndex::ScanSP(uint64_t p, uint64_t s, const PairSink& sink) const {
   const auto pos = PredicatePos(p);
   if (!pos) return true;

@@ -87,6 +87,21 @@ class PsoIndex {
   /// Number of (p,s) pairs for predicate `p` (distinct subjects).
   uint64_t CountSubjectsForPredicate(uint64_t p) const;
 
+  // -- Exact pattern counts for the planner (no triple is visited). --------
+
+  /// Triples (s, p, ?o): the length of the (p,s) run in BM_so.
+  uint64_t CountForSubject(uint64_t p, uint64_t s) const;
+  /// Triples (?s, p, o): one wavelet rank pair of `o` over the
+  /// predicate's WT_o range.
+  uint64_t CountForObject(uint64_t p, uint64_t o) const;
+  /// Distinct objects of predicate `p`, estimated as the triple count
+  /// over the mean occurrence count of the objects at three evenly
+  /// spaced positions of its WT_o range. Sampling positions weighs each
+  /// object by its frequency, so the quotient is the fan-out a join
+  /// binding this object sees; it equals the distinct count when every
+  /// object occurs equally often.
+  uint64_t EstimateDistinctObjects(uint64_t p) const;
+
   // -- Triple-pattern scans. All return true if the sink never aborted. ----
 
   /// (s, p, ?o) — Algorithm 3.

@@ -436,8 +436,14 @@ rdf::Term TripleStore::DecodeTerm(const EncodedTerm& value) const {
     }
     case ValueSpace::kLiteral:
       return LiteralAt(value.id);  // routes base pool and delta pool
+    case ValueSpace::kRdfType:
+      return rdf::Term::Iri(rdf::kRdfType);
+    case ValueSpace::kComputed:
+    case ValueSpace::kUnbound:
+      break;  // executor-local values: the executor decodes them itself
   }
-  SEDGE_CHECK(false) << "bad value space";
+  SEDGE_CHECK(false) << "value space " << static_cast<int>(value.space)
+                     << " has no stored term";
   return {};
 }
 

@@ -157,7 +157,9 @@ void RunRound(int round) {
       inserted.push_back(batch);
     }
     states.push_back(std::move(state));
-    if (k % 3 == 0) ASSERT_TRUE(db.CompactAsync().ok());
+    if (k % 3 == 0) {
+      ASSERT_TRUE(db.CompactAsync().ok());
+    }
   }
 
   for (std::thread& t : clients) t.join();

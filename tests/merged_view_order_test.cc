@@ -211,7 +211,9 @@ TEST_P(MergedViewOrder, StrictBaseOrderSurvivesInterleavedWrites) {
   for (uint64_t s = 0; s < 64; ++s) {
     std::optional<uint64_t> prev;
     types.ForEachConceptOf(s, [&](uint64_t c) {
-      if (prev) ASSERT_LT(*prev, c) << "concepts of s" << s;
+      if (prev) {
+        ASSERT_LT(*prev, c) << "concepts of s" << s;
+      }
       prev = c;
     });
   }
@@ -220,7 +222,9 @@ TEST_P(MergedViewOrder, StrictBaseOrderSurvivesInterleavedWrites) {
     ASSERT_TRUE(cid.has_value());
     std::optional<uint64_t> prev;
     types.ForEachSubjectOf(*cid, [&](uint64_t s) {
-      if (prev) ASSERT_LT(*prev, s) << "subjects of C" << c;
+      if (prev) {
+        ASSERT_LT(*prev, s) << "subjects of C" << c;
+      }
       prev = s;
     });
   }

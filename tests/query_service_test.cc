@@ -1,7 +1,8 @@
 // serve::QueryService unit tests: admission-queue semantics (bounded
 // depth, kResourceExhausted backpressure, clean shutdown draining every
-// admitted request), per-generation plan-cache invalidation across
-// Compact()/CompactAsync() swaps, and the serve_* metrics series.
+// admitted request), plan- and result-cache invalidation across
+// Compact()/CompactAsync() swaps, writes and option toggles, and the
+// serve_* metrics series.
 //
 // Pause() makes the queue tests deterministic: with the readers held
 // idle, admission outcomes depend only on the submit count, never on how
@@ -16,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include "core/database.h"
+#include "core/sharded_database.h"
+#include "ontology/ontology.h"
 #include "rdf/vocabulary.h"
 #include "serve/query_service.h"
 
@@ -276,6 +279,55 @@ TEST(QueryService, ResultCacheServesRepeatsAndInvalidatesOnWrites) {
   EXPECT_EQ(after_write.rows, first.rows + 1);
   EXPECT_EQ(invalidations(), 1u);
   EXPECT_TRUE(service.Execute(kStarQuery).result_cache_hit);
+}
+
+// The execution switches are part of both cache keys: a toggle must never
+// be answered from a plan or result computed under the previous options.
+template <typename Db>
+void ExpectTogglesInvalidateCaches(Db* db) {
+  ontology::Ontology onto;
+  onto.AddSubClassOf("http://e.org/Barometer", "http://e.org/Sensor");
+  db->LoadOntology(onto);
+  rdf::Graph g;
+  g.Add(rdf::Term::Iri(Iri("dev", 1)), rdf::Term::Iri(rdf::kRdfType),
+        rdf::Term::Iri("http://e.org/Barometer"));
+  ASSERT_TRUE(db->LoadData(g).ok());
+  serve::QueryService service(db, serve::ServeOptions());
+  const std::string q = "SELECT ?s WHERE { ?s a <http://e.org/Sensor> }";
+
+  EXPECT_EQ(service.Execute(q).rows, 1u);
+  EXPECT_TRUE(service.Execute(q).result_cache_hit);
+  db->set_reasoning(false);
+  EXPECT_EQ(db->Query(q).value().size(), 0u);
+  const serve::QueryService::Response off = service.Execute(q);
+  EXPECT_FALSE(off.result_cache_hit);
+  EXPECT_FALSE(off.plan_cache_hit);
+  EXPECT_EQ(off.rows, 0u);
+  db->set_reasoning(true);
+  EXPECT_EQ(service.Execute(q).rows, 1u);
+
+  // The other toggles bump the key too, without changing the answer.
+  for (const int toggle : {0, 1}) {
+    EXPECT_TRUE(service.Execute(q).result_cache_hit);
+    if (toggle == 0) {
+      db->set_optimizer(false);
+    } else {
+      db->set_merge_join(false);
+    }
+    const serve::QueryService::Response after = service.Execute(q);
+    EXPECT_FALSE(after.result_cache_hit);
+    EXPECT_EQ(after.rows, 1u);
+  }
+}
+
+TEST(QueryService, OptionTogglesInvalidateCachedPlansAndResults) {
+  Database db;
+  ExpectTogglesInvalidateCaches(&db);
+}
+
+TEST(QueryService, ShardedOptionTogglesInvalidateCachedResults) {
+  ShardedDatabase db;
+  ExpectTogglesInvalidateCaches(&db);
 }
 
 TEST(QueryService, ConcurrentClientsSeeConsistentSnapshots) {

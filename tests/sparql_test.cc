@@ -1,4 +1,4 @@
-// Tests for the SPARQL layer: parser, query graph, optimizer (Algorithm 1),
+// Tests for the SPARQL layer: parser, query graph, cost-based optimizer,
 // expression evaluation, and the executor end-to-end through sedge::Database.
 
 #include <algorithm>
@@ -106,74 +106,99 @@ TEST(QueryGraph, LabelsJoinTypes) {
   EXPECT_TRUE(g.Connected(1, 2));
   // Edge 0-1 on ?x: subject-subject.
   for (const auto& e : g.edges()) {
-    if (e.a == 0 && e.b == 1) EXPECT_EQ(e.type(), JoinType::kSS);
-    if (e.a == 0 && e.b == 2) EXPECT_EQ(e.type(), JoinType::kSO);
+    if (e.a == 0 && e.b == 1) {
+      EXPECT_EQ(e.type(), JoinType::kSS);
+    }
+    if (e.a == 0 && e.b == 2) {
+      EXPECT_EQ(e.type(), JoinType::kSO);
+    }
   }
 }
 
 // --------------------------------------------------------------- optimizer
 
-TEST(Optimizer, HeuristicClassOrder) {
-  const auto q = ParseQuery(
-      "PREFIX ex: <http://e.org/>\n"
-      "SELECT * WHERE { "
-      "  <http://e/a> a ex:C ."        // (s, type, o)   -> 0
-      "  <http://e/a> a ?c ."          // (s, type, ?o)  -> 1
-      "  ?x a ex:C ."                  // (?s, type, o)  -> 2
-      "  <http://e/a> ex:p ?y ."       // (s, p, ?o)     -> 4
-      "  ?x ex:p <http://e/b> ."       // (?s, p, o)     -> 5
-      "  ?x ex:p ?y ."                 // (?s, p, ?o)    -> 6
-      "  ?x ?p ?y ."                   // var predicate  -> 7
-      "}");
-  ASSERT_TRUE(q.ok()) << q.status().ToString();
-  const auto& tps = q.value().where.triples;
-  EXPECT_EQ(HeuristicClass(tps[0]), 0);
-  EXPECT_EQ(HeuristicClass(tps[1]), 1);
-  EXPECT_EQ(HeuristicClass(tps[2]), 2);
-  EXPECT_EQ(HeuristicClass(tps[3]), 4);
-  EXPECT_EQ(HeuristicClass(tps[4]), 5);
-  EXPECT_EQ(HeuristicClass(tps[5]), 6);
-  EXPECT_EQ(HeuristicClass(tps[6]), 7);
-}
-
 namespace {
-class FixedEstimator : public CardinalityEstimator {
+// Statistics per pattern, by position in the BGP.
+class TableEstimator : public CardinalityEstimator {
  public:
-  explicit FixedEstimator(std::vector<uint64_t> costs)
-      : costs_(std::move(costs)) {}
-  uint64_t Estimate(const TriplePattern& tp) const override {
-    // Keyed by the object constant's local name when present, else 100.
-    (void)tp;
-    return next_ < costs_.size() ? costs_[next_++] : 100;
+  TableEstimator(const std::vector<TriplePattern>* triples,
+                 std::vector<PatternEstimate> estimates)
+      : triples_(triples), estimates_(std::move(estimates)) {}
+  PatternEstimate Estimate(const TriplePattern& tp) const override {
+    return estimates_[static_cast<size_t>(&tp - triples_->data())];
   }
 
  private:
-  std::vector<uint64_t> costs_;
-  mutable size_t next_ = 0;
+  const std::vector<TriplePattern>* triples_;
+  std::vector<PatternEstimate> estimates_;
 };
-}  // namespace
 
-TEST(Optimizer, StartsWithSsJoinedTypePattern) {
-  // Figure 6-style query: type TPs ?x a C1, ?x a C2 (SS-joined via ?x),
-  // plus object TPs. The order must start with a type TP.
-  const auto q = ParseQuery(
-      "PREFIX ex: <http://e.org/>\n"
-      "SELECT * WHERE { ?x ex:p ?y . ?x a ex:C1 . ?y a ex:C2 . "
-      "?x ex:q ?z }");
-  ASSERT_TRUE(q.ok());
-  const FixedEstimator est({100, 5, 7, 100});
-  const auto order = OrderTriplePatterns(q.value().where.triples, est);
-  ASSERT_EQ(order.size(), 4u);
-  EXPECT_EQ(order[0], 1u);  // ?x a ex:C1 (cheapest SS-joined type TP)
-  // Left-deep: every subsequent TP connects to the prefix.
-  const QueryGraph g(q.value().where.triples);
-  for (size_t i = 1; i < order.size(); ++i) {
+void ExpectLeftDeep(const std::vector<TriplePattern>& triples,
+                    const std::vector<PlanStep>& plan) {
+  const QueryGraph g(triples);
+  for (size_t i = 1; i < plan.size(); ++i) {
     bool connected = false;
     for (size_t j = 0; j < i; ++j) {
-      if (g.Connected(order[i], order[j])) connected = true;
+      if (g.Connected(plan[i].pattern, plan[j].pattern)) connected = true;
     }
-    EXPECT_TRUE(connected) << "pattern " << order[i] << " disconnected";
+    EXPECT_TRUE(connected) << "pattern " << plan[i].pattern << " disconnected";
   }
+}
+}  // namespace
+
+TEST(Optimizer, StartsAtConstantAnchoredPattern) {
+  // LUBM Q7's shape and LUBM1's counts: the type-first order would start
+  // from 9,490 students; the constant-subject pattern binds 3 courses.
+  const auto q = ParseQuery(
+      "PREFIX ex: <http://e.org/>\n"
+      "SELECT * WHERE { ?x a ex:Student . ?y a ex:Course . "
+      "?x ex:takes ?y . <http://e/prof> ex:teaches ?y }");
+  ASSERT_TRUE(q.ok());
+  const auto& tps = q.value().where.triples;
+  const TableEstimator est(&tps, {{9490, 9490, 1, 1, 0},
+                                  {1600, 1600, 1, 1, 0},
+                                  {28147, 7000, 1700, 1, 0},
+                                  {3, 1, 3, 1, 0}});
+  for (const bool merge_join : {true, false}) {
+    const auto plan = OrderTriplePatterns(tps, est, merge_join);
+    ASSERT_EQ(plan.size(), 4u);
+    EXPECT_EQ(plan[0].pattern, 3u);
+    EXPECT_EQ(plan[0].est_rows, 3);
+    ExpectLeftDeep(tps, plan);
+  }
+}
+
+TEST(Optimizer, ChargesTheOverlayWalkOfObjectBoundLookups) {
+  // ?u a Unit is the smallest pattern, but reaching ?r from a bound ?u
+  // needs a ScanPO per unit that walks the whole predicate run while an
+  // overlay is live; sweeping forward from the subject side is cheaper.
+  const auto q = ParseQuery(
+      "PREFIX ex: <http://e.org/>\n"
+      "SELECT * WHERE { ?s a ex:Sensor . ?s ex:made ?r . "
+      "?r ex:unit ?u . ?u a ex:Unit }");
+  ASSERT_TRUE(q.ok());
+  const auto& tps = q.value().where.triples;
+  const TableEstimator est(&tps, {{16, 16, 1, 1, 0},
+                                  {4000, 16, 4000, 1, 4000},
+                                  {4000, 4000, 3, 1, 4000},
+                                  {2, 2, 1, 1, 0}});
+  const auto plan = OrderTriplePatterns(tps, est, /*merge_join=*/true);
+  ASSERT_EQ(plan.size(), 4u);
+  EXPECT_EQ(plan[0].pattern, 0u);
+  ExpectLeftDeep(tps, plan);
+}
+
+TEST(Optimizer, EmptyPatternGoesFirst) {
+  const auto q = ParseQuery(
+      "PREFIX ex: <http://e.org/>\n"
+      "SELECT * WHERE { ?x ex:p ?y . ?y ex:q <http://e/absent> }");
+  ASSERT_TRUE(q.ok());
+  const auto& tps = q.value().where.triples;
+  const TableEstimator est(&tps, {{500, 100, 50, 1, 0}, {0, 0, 0, 1, 0}});
+  const auto plan = OrderTriplePatterns(tps, est, true);
+  ASSERT_EQ(plan.size(), 2u);
+  EXPECT_EQ(plan[0].pattern, 1u);
+  EXPECT_EQ(plan[1].est_rows, 0);
 }
 
 // ------------------------------------------------- end-to-end (Database)

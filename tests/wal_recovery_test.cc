@@ -463,7 +463,9 @@ TEST(WalRecovery, CompactionWithoutCheckpointDeviceKeepsLogComplete) {
   for (size_t i = 0; i < script.size(); ++i) {
     const Mutation& m = script[i];
     ASSERT_TRUE((m.insert ? db.Insert(m.triple) : db.Remove(m.triple)).ok());
-    if (i % 10 == 9) ASSERT_TRUE(db.Compact().ok());
+    if (i % 10 == 9) {
+      ASSERT_TRUE(db.Compact().ok());
+    }
   }
   EXPECT_EQ(wal.epoch(), epoch_before)
       << "no checkpoint device -> compaction must not truncate";

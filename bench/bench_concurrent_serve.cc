@@ -11,7 +11,7 @@
 // checksum means a torn read or a mis-published snapshot.
 //
 // Per reader count the JSONL row carries QPS, p50/p99/max from the
-// serve_request_seconds histogram in Database::metrics(), plan-cache
+// serve_request_seconds histogram in Database::metrics(), result-cache
 // hit rate, writer batches applied, and folds completed; a final record
 // reports the 4-vs-1 reader scaling factor.
 //
@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
 
     // Writer lane: observation batches (novel vocabulary, admitted
     // provisionally) with a background fold kicked off every third batch,
-    // so generation swaps and plan-cache invalidations happen mid-run.
+    // so generation swaps and result-cache invalidations happen mid-run.
     uint64_t batches = 0;
     uint64_t folds = 0;
     WallTimer window;
@@ -158,9 +158,9 @@ int main(int argc, char** argv) {
     const double p50_ms = lat->Percentile(50) * 1e3;
     const double p99_ms = lat->Percentile(99) * 1e3;
     const uint64_t hits =
-        db.metrics().GetCounter("serve_plan_cache_hits_total")->value();
+        db.metrics().GetCounter("serve_result_cache_hits_total")->value();
     const uint64_t misses =
-        db.metrics().GetCounter("serve_plan_cache_misses_total")->value();
+        db.metrics().GetCounter("serve_result_cache_misses_total")->value();
     const double hit_rate =
         hits + misses > 0
             ? 100.0 * static_cast<double>(hits) /
@@ -186,11 +186,11 @@ int main(int argc, char** argv) {
          {"completed", static_cast<double>(completed.load())},
          {"rejected", static_cast<double>(rejected.load())},
          {"mismatches", static_cast<double>(mismatches.load())},
-         {"plan_cache_hit_rate", hit_rate},
-         {"plan_cache_invalidations",
+         {"result_cache_hit_rate", hit_rate},
+         {"result_cache_invalidations",
           static_cast<double>(
               db.metrics()
-                  .GetCounter("serve_plan_cache_invalidations_total")
+                  .GetCounter("serve_result_cache_invalidations_total")
                   ->value())},
          {"writer_batches", static_cast<double>(batches)},
          {"async_folds", static_cast<double>(folds)},

@@ -9,7 +9,11 @@
 //
 // Protocol: each request is one line. A SPARQL SELECT returns its
 // solutions (one row per line, terms tab-separated, UNBOUND for unbound
-// cells) followed by a `# rows=... generation=... writes=...` trailer;
+// cells) followed by a `# rows=... generation=... writes=... cache_hit=...`
+// trailer: the epoch the answer is consistent with, and whether the
+// service's result cache served it (cache_hit=1: no parse, no
+// execution; until the serve plan cache was removed the field reported
+// a plan-cache hit);
 // the literal line `!metrics` returns the engine's full Prometheus
 // exposition (the serve_* series included) terminated by `# end`; parse
 // and execution errors come back as a single `# error: ...` line. Every
@@ -22,17 +26,20 @@
 // background, so clients see snapshot-isolated results while batches
 // land and background folds swap generations underneath them.
 //
-// `--shards K` serves the same deployment through a ShardedDatabase: K
-// subject-hash shards behind the cloud-edge coordinator, queries
-// decomposed and fanned out per shard, writes routed through the
-// partitioner. `!metrics` then exports the coordinator registry — the
+// `--shards K` serves the same deployment through a dist::Coordinator: K
+// subject-hash shards, queries decomposed and fanned out per shard,
+// writes routed through the partitioner — behind the same QueryService
+// serve path. `!metrics` then exports the coordinator registry — the
 // dist_* series (fan-out, pushdown ratio, join path, skew) next to the
-// same serve_* series.
+// same serve_* series (generation= is then the coordinator's content
+// version and writes= stays 0).
 //
 // `--selftest` starts the server on an ephemeral port, runs a loopback
-// client through a query / live-write / query-again / !metrics sequence,
-// and exits non-zero on any mismatch — the examples CI target can run it
-// headless (in both single-store and --shards modes).
+// client through a query / repeat / live-write / query-again / !metrics
+// sequence, and exits non-zero on any mismatch: a repeat at an unchanged
+// epoch must report cache_hit=1, the first answer that sees a live write
+// cache_hit=0 with a larger generation= or writes=. The examples CI
+// target runs it headless (in both single-store and --shards modes).
 //
 //   $ ./build/edge_serve [port] [--readers N] [--shards K] [--selftest]
 
@@ -50,7 +57,7 @@
 #include <vector>
 
 #include "core/database.h"
-#include "core/sharded_database.h"
+#include "dist/coordinator.h"
 #include "obs/metrics.h"
 #include "serve/query_service.h"
 #include "workloads/sensor_generator.h"
@@ -104,7 +111,7 @@ std::string RenderResponse(const QueryService::Response& resp) {
   out += "# rows=" + std::to_string(resp.rows) +
          " generation=" + std::to_string(resp.generation) +
          " writes=" + std::to_string(resp.writes) +
-         " cache_hit=" + (resp.plan_cache_hit ? "1" : "0") + "\n";
+         " cache_hit=" + (resp.result_cache_hit ? "1" : "0") + "\n";
   return out;
 }
 
@@ -161,9 +168,11 @@ int main(int argc, char** argv) {
   cfg.sensors_per_station = 4;
   cfg.observations_per_sensor = 10;
   std::unique_ptr<Database> db;
-  std::unique_ptr<ShardedDatabase> sharded;
+  std::unique_ptr<dist::Coordinator> sharded;
   if (shards > 0) {
-    sharded = std::make_unique<ShardedDatabase>(shards);
+    dist::CoordinatorOptions coordinator_options;
+    coordinator_options.partition.shards = shards;
+    sharded = std::make_unique<dist::Coordinator>(coordinator_options);
     sharded->LoadOntology(workloads::SensorGraphGenerator::BuildOntology());
   } else {
     db = std::make_unique<Database>();
@@ -180,15 +189,14 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  obs::MetricsRegistry& metrics =
-      sharded != nullptr ? sharded->metrics() : db->metrics();
+  QueryBackend* backend = sharded != nullptr
+                              ? static_cast<QueryBackend*>(sharded.get())
+                              : db.get();
+  obs::MetricsRegistry& metrics = backend->metrics();
 
   serve::ServeOptions options;
   options.readers = readers;
-  auto service =
-      sharded != nullptr
-          ? std::make_unique<serve::QueryService>(sharded.get(), options)
-          : std::make_unique<serve::QueryService>(db.get(), options);
+  auto service = std::make_unique<serve::QueryService>(backend, options);
 
   const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd < 0) return Fail("socket");
@@ -267,26 +275,69 @@ int main(int argc, char** argv) {
     const int fd = connect_fd();
     std::string buffer;
     std::string line;
-    const auto rows_of = [&]() -> long {
+    // The `# rows=... generation=... writes=... cache_hit=...` trailer of
+    // one response; rows = -1 on an error or a closed connection.
+    struct Trailer {
       long rows = -1;
+      unsigned long long generation = 0;
+      unsigned long long writes = 0;
+      int cache_hit = -1;
+      bool SameEpoch(const Trailer& o) const {
+        return generation == o.generation && writes == o.writes;
+      }
+    };
+    const auto ask = [&]() -> Trailer {
+      Trailer t;
+      WriteAll(fd, count_query);
       while (ReadLine(fd, &buffer, &line)) {
-        if (line.rfind("# error", 0) == 0) return -1;
+        if (line.rfind("# error", 0) == 0) return t;
         if (line.rfind("# rows=", 0) == 0) {
-          rows = std::atol(line.c_str() + 7);
+          if (std::sscanf(line.c_str(),
+                          "# rows=%ld generation=%llu writes=%llu "
+                          "cache_hit=%d",
+                          &t.rows, &t.generation, &t.writes,
+                          &t.cache_hit) != 4) {
+            t.rows = -1;
+          }
           break;
         }
       }
-      return rows;
+      return t;
     };
-    WriteAll(fd, count_query);
-    const long before = rows_of();
-    // The background writer inserts a batch every 250 ms; within a few
-    // seconds the observation count must grow.
-    long after = before;
-    for (int i = 0; i < 40 && after <= before; ++i) {
+    const Trailer first = ask();
+    const long before = first.rows;
+    // A repeat at an unchanged epoch must come from the result cache.
+    // An answer at the epoch of the answer before it was also looked up
+    // at that epoch, so it was stored; the next answer at the same epoch
+    // is then a hit. The background writer lands a batch every 250 ms,
+    // so retry until three answers in a row share an epoch.
+    bool repeat_hit = false;
+    Trailer prev = first;
+    int run = 1;  // consecutive answers at prev's epoch
+    for (int i = 0; i < 20; ++i) {
+      const Trailer next = ask();
+      run = next.rows >= 0 && next.SameEpoch(prev) ? run + 1 : 1;
+      prev = next;
+      if (run == 3) {
+        repeat_hit = next.cache_hit == 1;
+        break;
+      }
+    }
+    // Within a few seconds the observation count must grow; the first
+    // answer that sees the write is computed afresh at a later epoch.
+    const long settled = prev.rows;
+    long after = settled;
+    bool fresh_after_write = false;
+    for (int i = 0; i < 40 && after <= settled; ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(250));
-      WriteAll(fd, count_query);
-      after = rows_of();
+      const Trailer next = ask();
+      after = next.rows;
+      if (after > settled) {
+        fresh_after_write =
+            next.cache_hit == 0 && (next.generation > prev.generation ||
+                                    next.writes > prev.writes);
+      }
+      prev = next;
     }
     WriteAll(fd, "!metrics\n");
     bool saw_serve_series = false;
@@ -300,11 +351,15 @@ int main(int argc, char** argv) {
       }
     }
     ::close(fd);
-    const bool ok = before > 0 && after > before && saw_serve_series &&
+    const bool ok = before > 0 && after > before && repeat_hit &&
+                    fresh_after_write && saw_serve_series &&
                     (shards == 0 || saw_dist_series);
-    std::printf("selftest: %ld observations, %ld after live writes, "
-                "serve_* series %s%s -> %s\n",
-                before, after, saw_serve_series ? "exported" : "MISSING",
+    std::printf("selftest: %ld observations, repeat %s, %ld after live "
+                "writes (%s), serve_* series %s%s -> %s\n",
+                before, repeat_hit ? "cache_hit=1" : "NOT CACHED", after,
+                fresh_after_write ? "cache_hit=0 at a later epoch"
+                                  : "NOT FRESH",
+                saw_serve_series ? "exported" : "MISSING",
                 shards > 0 ? (saw_dist_series ? ", dist_* series exported"
                                               : ", dist_* series MISSING")
                            : "",
@@ -323,7 +378,7 @@ int main(int argc, char** argv) {
   writer.join();
   service->Shutdown();
   if (sharded != nullptr) {
-    (void)sharded->WaitForCompaction();
+    (void)sharded->WaitForCompactions();
   } else {
     (void)db->WaitForCompaction();
   }

@@ -281,6 +281,20 @@ Database::ReadView Database::AcquireReadView() const {
   return *std::atomic_load(&read_state_);
 }
 
+QueryEpoch Database::EpochOf(const ReadView& view) {
+  QueryEpoch epoch;
+  if (view.snap != nullptr) {
+    epoch.generation = view.snap->number();
+    epoch.writes = view.snap->writes();
+  }
+  epoch.options = view.options_version;
+  return epoch;
+}
+
+QueryEpoch Database::epoch() const {
+  return EpochOf(*std::atomic_load(&read_state_));
+}
+
 void Database::set_reasoning(bool on) {
   util::MutexLock lk(&snap_mu_);
   auto next = std::make_shared<ReadView>(*std::atomic_load(&read_state_));
@@ -895,10 +909,12 @@ void Database::AccumulateQueryStats(const sparql::Executor& executor) const {
   met_.queries_total->Increment();
 }
 
-Result<sparql::QueryResult> Database::Query(std::string_view text) const {
+Status Database::RunQuery(std::string_view text, QueryEpoch* at,
+                          sparql::QueryResult* decoded,
+                          uint64_t* rows) const {
   const ReadView view = AcquireReadView();
-  const auto& snap = view.snap;
-  if (snap == nullptr) {
+  if (at != nullptr) *at = EpochOf(view);
+  if (view.snap == nullptr) {
     return Status::InvalidArgument("no data loaded");
   }
   obs::ScopedSpan query_span(met_.query_seconds);
@@ -906,30 +922,34 @@ Result<sparql::QueryResult> Database::Query(std::string_view text) const {
   SEDGE_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(text));
   parse_span.Stop();
   obs::ScopedSpan execute_span(met_.query_execute_seconds);
-  sparql::Executor executor(snap, view.options);
-  auto result = executor.Execute(query);
+  sparql::Executor executor(view.snap, view.options);
+  Status status;
+  if (decoded != nullptr) {
+    Result<sparql::QueryResult> result = executor.Execute(query);
+    status = result.status();
+    if (result.ok()) *decoded = std::move(result).value();
+  } else {
+    Result<sparql::BindingTable> table = executor.ExecuteEncoded(query);
+    status = table.status();
+    if (table.ok()) *rows = table.value().rows.size();
+  }
   execute_span.Stop();
   AccumulateQueryStats(executor);
+  return status;
+}
+
+Result<sparql::QueryResult> Database::Query(std::string_view text,
+                                            QueryEpoch* at) const {
+  sparql::QueryResult result;
+  SEDGE_RETURN_NOT_OK(RunQuery(text, at, &result, nullptr));
   return result;
 }
 
-Result<uint64_t> Database::QueryCount(std::string_view text) const {
-  const ReadView view = AcquireReadView();
-  const auto& snap = view.snap;
-  if (snap == nullptr) {
-    return Status::InvalidArgument("no data loaded");
-  }
-  obs::ScopedSpan query_span(met_.query_seconds);
-  obs::ScopedSpan parse_span(met_.query_parse_seconds);
-  SEDGE_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(text));
-  parse_span.Stop();
-  obs::ScopedSpan execute_span(met_.query_execute_seconds);
-  sparql::Executor executor(snap, view.options);
-  auto table = executor.ExecuteEncoded(query);
-  execute_span.Stop();
-  AccumulateQueryStats(executor);
-  SEDGE_RETURN_NOT_OK(table.status());
-  return static_cast<uint64_t>(table.value().rows.size());
+Result<uint64_t> Database::QueryCount(std::string_view text,
+                                      QueryEpoch* at) const {
+  uint64_t rows = 0;
+  SEDGE_RETURN_NOT_OK(RunQuery(text, at, nullptr, &rows));
+  return rows;
 }
 
 Result<obs::QueryProfile> Database::ExplainQuery(

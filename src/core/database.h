@@ -53,6 +53,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/query_backend.h"
 #include "io/checkpoint.h"
 #include "io/wal.h"
 #include "obs/metrics.h"
@@ -75,10 +76,10 @@ class ThreadSafetyProbe;  // negative-compilation harness (tests/)
 
 /// \brief In-memory, self-indexed, reasoning-enabled RDF store with an
 /// optional self-contained durable lifecycle on a block device.
-class Database {
+class Database : public QueryBackend {
  public:
   Database();
-  ~Database();
+  ~Database() override;
 
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
@@ -300,21 +301,10 @@ class Database {
   void set_optimizer(bool on) SEDGE_EXCLUDES(snap_mu_);
   sparql::Executor::Options options() const;
 
-  /// One coherent read-side view: the pinned generation, the executor
-  /// options and their version, all published at the same instant — the
-  /// RCU read state itself, so they can never be a torn mix. Query /
-  /// QueryCount / ExplainQuery start here, and serve::QueryService keys
-  /// its caches on it. Lock-free: a single atomic shared_ptr load, so a
-  /// herd of reader threads admitting queries never serializes on a
-  /// mutex.
-  struct ReadView {
-    std::shared_ptr<const store::StoreGeneration> snap;
-    sparql::Executor::Options options;
-    /// Bumped by every set_* toggle above (and by nothing else): plans
-    /// and answers cached for one version are stale at the next.
-    uint64_t options_version = 0;
-  };
-  ReadView AcquireReadView() const;
+  /// The published generation's (number, writes) and the options
+  /// version, which every set_* toggle above bumps (and nothing else).
+  /// Lock-free: one atomic shared_ptr load.
+  QueryEpoch epoch() const override;
 
   // -- Concurrent reads ------------------------------------------------------
 
@@ -328,7 +318,7 @@ class Database {
   /// single-threaded batch loads. Turning it on does not retroactively
   /// freeze the currently published generation — it takes effect at the
   /// next write batch.
-  void set_snapshot_isolation(bool on) SEDGE_EXCLUDES(write_mu_) {
+  void set_snapshot_isolation(bool on) override SEDGE_EXCLUDES(write_mu_) {
     util::MutexLock lk(&write_mu_);
     snapshot_isolation_ = on;
     // The published generation may alias the writable store; treat it as
@@ -366,12 +356,15 @@ class Database {
 
   /// Parses, optimizes and executes a SPARQL SELECT query against a
   /// pinned generation snapshot (safe against concurrent compaction
-  /// swaps).
-  Result<sparql::QueryResult> Query(std::string_view sparql) const
+  /// swaps). Every query plans on the pinned store's live counts. `at`
+  /// receives the epoch of the pinned snapshot and options.
+  Result<sparql::QueryResult> Query(std::string_view sparql,
+                                    QueryEpoch* at = nullptr) const override
       SEDGE_EXCLUDES(snap_mu_);
 
   /// Number of solutions only (skips decode; benches use this).
-  Result<uint64_t> QueryCount(std::string_view sparql) const
+  Result<uint64_t> QueryCount(std::string_view sparql,
+                              QueryEpoch* at = nullptr) const override
       SEDGE_EXCLUDES(snap_mu_);
 
   /// Runs `sparql` like Query but returns its trace profile instead of
@@ -389,13 +382,13 @@ class Database {
   /// device / executor counters, gauges and latency histograms. Handles
   /// obtained from it stay valid for the database's lifetime; exporters
   /// (ExportJson / ExportPrometheus) may run concurrently with writes.
-  obs::MetricsRegistry& metrics() const { return metrics_; }
+  obs::MetricsRegistry& metrics() const override { return metrics_; }
 
   /// Folds one executor's counters into query_stats(). For callers that
-  /// run their own Executor against a pinned snapshot() (the
-  /// serve::QueryService reader threads do, to reuse cached plans) but
-  /// still want the database-wide stats to cover those queries. All
-  /// counters are relaxed atomics — safe from any thread.
+  /// run their own Executor against a pinned snapshot() (the shard
+  /// coordinator does, per subquery) but still want the database-wide
+  /// stats to cover those queries. All counters are relaxed atomics —
+  /// safe from any thread.
   void AccumulateQueryStats(const sparql::Executor& executor) const;
 
   // -- Introspection ----------------------------------------------------------
@@ -421,6 +414,27 @@ class Database {
   // guarded fields through this friend to prove unguarded access is a
   // compile error; nothing in the engine defines or uses it.
   friend class ::sedge::ThreadSafetyProbe;
+
+  /// One coherent read-side view: the pinned generation, the executor
+  /// options and their version, all published at the same instant — the
+  /// RCU read state itself, so they can never be a torn mix. Query /
+  /// QueryCount / ExplainQuery start here. Lock-free: a single atomic
+  /// shared_ptr load, so a herd of reader threads admitting queries never
+  /// serializes on a mutex.
+  struct ReadView {
+    std::shared_ptr<const store::StoreGeneration> snap;
+    sparql::Executor::Options options;
+    /// Bumped by every set_* toggle (and by nothing else).
+    uint64_t options_version = 0;
+  };
+  ReadView AcquireReadView() const;
+  static QueryEpoch EpochOf(const ReadView& view);
+  /// The shared body of Query and QueryCount: pins one read view (its
+  /// epoch goes to `at`), parses `text` and executes it on the pinned
+  /// snapshot with the pinned options — decoded into `*decoded` when
+  /// non-null, otherwise only counted into `*rows`.
+  Status RunQuery(std::string_view text, QueryEpoch* at,
+                  sparql::QueryResult* decoded, uint64_t* rows) const;
 
   struct RelayOp {
     bool insert;

@@ -327,32 +327,35 @@ void Coordinator::set_reasoning(bool on) {
   {
     util::MutexLock lk(&opt_mu_);
     exec_options_.reasoning = on;
+    ++options_version_;
   }
   for (auto& shard : shards_) shard->set_reasoning(on);
-  options_version_.fetch_add(1);
 }
 
 void Coordinator::set_merge_join(bool on) {
   {
     util::MutexLock lk(&opt_mu_);
     exec_options_.merge_join = on;
+    ++options_version_;
   }
   for (auto& shard : shards_) shard->set_merge_join(on);
-  options_version_.fetch_add(1);
 }
 
 void Coordinator::set_optimizer(bool on) {
   {
     util::MutexLock lk(&opt_mu_);
     exec_options_.use_optimizer = on;
+    ++options_version_;
   }
   for (auto& shard : shards_) shard->set_optimizer(on);
-  options_version_.fetch_add(1);
 }
 
-sparql::Executor::Options Coordinator::exec_options() const {
+QueryEpoch Coordinator::epoch() const {
+  QueryEpoch epoch;
+  epoch.generation = version_.load();
   util::MutexLock lk(&opt_mu_);
-  return exec_options_;
+  epoch.options = options_version_;
+  return epoch;
 }
 
 // ----------------------------------------------------------- Introspection
@@ -386,16 +389,25 @@ void Coordinator::UpdateSkewGaugesLocked() {
 
 // ---------------------------------------------------------------- Querying
 
-Coordinator::ShardPins Coordinator::PinShards() const {
-  // Under write_mu_ so a multi-shard write batch is atomic to queries:
-  // every pin predates the batch or every pin includes it, never a torn
-  // mix across shards. The critical section is K lock-free snapshot
-  // loads — execution runs entirely outside the lock.
-  util::MutexLock lk(&write_mu_);
-  ShardPins pins;
-  pins.reserve(shards_.size());
-  for (const auto& shard : shards_) pins.push_back(shard->snapshot());
-  return pins;
+Coordinator::QueryView Coordinator::PinQueryView() const {
+  QueryView view;
+  {
+    // Under write_mu_ so a multi-shard write batch is atomic to queries:
+    // every pin predates the batch or every pin includes it, never a
+    // torn mix across shards — and the content version read here names
+    // exactly that pin set. The critical section is K lock-free snapshot
+    // loads — execution runs entirely outside the lock.
+    util::MutexLock lk(&write_mu_);
+    view.pins.reserve(shards_.size());
+    for (const auto& shard : shards_) view.pins.push_back(shard->snapshot());
+    view.epoch.generation = version_.load();
+  }
+  // One option set per query: every star group and union alternative
+  // runs with it, so a racing toggle lands wholly before or after.
+  util::MutexLock lk(&opt_mu_);
+  view.options = exec_options_;
+  view.epoch.options = options_version_;
+  return view;
 }
 
 namespace {
@@ -424,10 +436,9 @@ void SortTableBy(Coordinator::GlobalTable* t,
 }  // namespace
 
 Result<Coordinator::GlobalTable> Coordinator::FanOutSubquery(
-    const ShardSubquery& sub, const ShardPins& pins) const {
+    const ShardSubquery& sub, const QueryView& view) const {
   GlobalTable out;
   out.vars = sub.vars;
-  const sparql::Executor::Options options = exec_options();
   // With a cloud base shard a triple can live on two shards, so a whole
   // star-group assignment can surface twice; dedup restores the set
   // semantics a single store would produce. (Within one shard a group's
@@ -437,10 +448,10 @@ Result<Coordinator::GlobalTable> Coordinator::FanOutSubquery(
   // — concatenation is already exact there.
   const bool dedupe = partitioner_.cloud_shard() >= 0;
   std::set<std::vector<uint64_t>> seen;
-  for (size_t s = 0; s < pins.size(); ++s) {
-    const auto& pin = pins[s];
+  for (size_t s = 0; s < view.pins.size(); ++s) {
+    const auto& pin = view.pins[s];
     if (pin == nullptr) continue;  // shard has no data yet
-    sparql::Executor executor(pin, options);
+    sparql::Executor executor(pin, view.options);
     SEDGE_ASSIGN_OR_RETURN(sparql::BindingTable table,
                            executor.ExecuteEncoded(sub.query));
     met_.subqueries_total->Increment();
@@ -577,7 +588,7 @@ Coordinator::GlobalTable Coordinator::JoinGroups(
 }
 
 Status Coordinator::ApplyResidual(sparql::GroupPattern residual,
-                                  const ShardPins& pins,
+                                  const QueryView& view,
                                   GlobalTable* table) const {
   // UNION blocks: evaluate each alternative as its own distributed group,
   // align columns, concatenate, then join onto the accumulated bindings —
@@ -586,7 +597,7 @@ Status Coordinator::ApplyResidual(sparql::GroupPattern residual,
     GlobalTable combined;
     for (sparql::GroupPattern& alt : ub.alternatives) {
       SEDGE_ASSIGN_OR_RETURN(GlobalTable t,
-                             EvaluateGroupDist(std::move(alt), pins));
+                             EvaluateGroupDist(std::move(alt), view));
       for (const Variable& v : t.vars) combined.AddVar(v);
       for (auto& row : t.rows) {
         std::vector<uint64_t> aligned(combined.vars.size(),
@@ -663,7 +674,7 @@ Status Coordinator::ApplyResidual(sparql::GroupPattern residual,
 }
 
 Result<Coordinator::GlobalTable> Coordinator::EvaluateGroupDist(
-    sparql::GroupPattern group, const ShardPins& pins) const {
+    sparql::GroupPattern group, const QueryView& view) const {
   Decomposition dec =
       Decompose(std::move(group), partitioner_.colocates_subjects());
   met_.patterns_total->Add(dec.patterns_total);
@@ -676,7 +687,7 @@ Result<Coordinator::GlobalTable> Coordinator::EvaluateGroupDist(
   std::vector<GlobalTable> tables;
   tables.reserve(dec.groups.size());
   for (const ShardSubquery& g : dec.groups) {
-    SEDGE_ASSIGN_OR_RETURN(GlobalTable t, FanOutSubquery(g, pins));
+    SEDGE_ASSIGN_OR_RETURN(GlobalTable t, FanOutSubquery(g, view));
     tables.push_back(std::move(t));
   }
   // Two-group decompositions ship both sides sorted on their common
@@ -690,18 +701,20 @@ Result<Coordinator::GlobalTable> Coordinator::EvaluateGroupDist(
     }
   }
   GlobalTable table = JoinGroups(std::move(tables));
-  SEDGE_RETURN_NOT_OK(ApplyResidual(std::move(dec.residual), pins, &table));
+  SEDGE_RETURN_NOT_OK(ApplyResidual(std::move(dec.residual), view, &table));
   return table;
 }
 
-Result<Coordinator::GlobalTable> Coordinator::ExecuteDistributed(
-    sparql::Query query) const {
-  const ShardPins pins = PinShards();
+Result<Coordinator::GlobalTable> Coordinator::RunQuery(
+    std::string_view text, QueryEpoch* at) const {
+  const QueryView view = PinQueryView();
+  if (at != nullptr) *at = view.epoch;
   uint64_t active = 0;
-  for (const auto& pin : pins) {
+  for (const auto& pin : view.pins) {
     if (pin != nullptr) ++active;
   }
   if (active == 0) return Status::InvalidArgument("no data loaded");
+  SEDGE_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(text));
   met_.fanout_shards->RecordValue(active);
 
   // Resolve SELECT * before the where-group is consumed below.
@@ -709,7 +722,7 @@ Result<Coordinator::GlobalTable> Coordinator::ExecuteDistributed(
       query.select.empty() ? query.MentionedVariables() : query.select;
 
   SEDGE_ASSIGN_OR_RETURN(GlobalTable table,
-                         EvaluateGroupDist(std::move(query.where), pins));
+                         EvaluateGroupDist(std::move(query.where), view));
 
   // Modifiers, mirroring Executor::ExecuteEncoded: project, dedupe,
   // slice — in that order.
@@ -757,11 +770,10 @@ Result<Coordinator::GlobalTable> Coordinator::ExecuteDistributed(
   return out;
 }
 
-Result<sparql::QueryResult> Coordinator::Query(std::string_view sparql) const {
+Result<sparql::QueryResult> Coordinator::Query(std::string_view sparql,
+                                               QueryEpoch* at) const {
   obs::ScopedSpan span(met_.query_seconds);
-  SEDGE_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(sparql));
-  SEDGE_ASSIGN_OR_RETURN(GlobalTable table,
-                         ExecuteDistributed(std::move(query)));
+  SEDGE_ASSIGN_OR_RETURN(GlobalTable table, RunQuery(sparql, at));
   sparql::QueryResult result;
   result.var_names.reserve(table.vars.size());
   for (const Variable& v : table.vars) result.var_names.push_back(v.name);
@@ -781,11 +793,10 @@ Result<sparql::QueryResult> Coordinator::Query(std::string_view sparql) const {
   return result;
 }
 
-Result<uint64_t> Coordinator::QueryCount(std::string_view sparql) const {
+Result<uint64_t> Coordinator::QueryCount(std::string_view sparql,
+                                         QueryEpoch* at) const {
   obs::ScopedSpan span(met_.query_seconds);
-  SEDGE_ASSIGN_OR_RETURN(sparql::Query query, sparql::ParseQuery(sparql));
-  SEDGE_ASSIGN_OR_RETURN(GlobalTable table,
-                         ExecuteDistributed(std::move(query)));
+  SEDGE_ASSIGN_OR_RETURN(GlobalTable table, RunQuery(sparql, at));
   return static_cast<uint64_t>(table.rows.size());
 }
 

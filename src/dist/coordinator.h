@@ -20,10 +20,12 @@
 //
 // Queries pin one frozen StoreGeneration per shard up front — the pin
 // set is taken under the coordinator's writer lock so a multi-shard
-// write batch is atomic to queries — and then execute entirely against
-// those pins (exactly the Database::Query contract, K times). Writes
-// route through the partitioner and commit per shard — WAL/durability,
-// snapshot isolation and fold scheduling all stay shard-local decisions.
+// write batch is atomic to queries — together with one copy of the
+// executor options, and then execute every star group and union
+// alternative against those pins and that option set (exactly the
+// Database::Query contract, K times). Writes route through the
+// partitioner and commit per shard — WAL/durability, snapshot isolation
+// and fold scheduling all stay shard-local decisions.
 //
 // Consistency: with pure routing every triple lives on exactly one
 // shard, so cross-shard unions of a group's rows concatenate. With a
@@ -33,9 +35,9 @@
 //
 // Locking (docs/locking.md): write_mu_ serializes multi-shard write
 // batches *above* the shard databases' own writer lanes (and covers the
-// instant of query pinning); opt_mu_ guards the executor toggles;
-// TermMap has its own leaf SharedMutex. Query *execution* holds no
-// coordinator-wide lock.
+// instant of query pinning); opt_mu_ guards the executor toggles and
+// their version; TermMap has its own leaf SharedMutex. Query *execution*
+// holds no coordinator-wide lock.
 
 #ifndef SEDGE_DIST_COORDINATOR_H_
 #define SEDGE_DIST_COORDINATOR_H_
@@ -46,6 +48,7 @@
 #include <vector>
 
 #include "core/database.h"
+#include "core/query_backend.h"
 #include "dist/decomposer.h"
 #include "dist/partitioner.h"
 #include "dist/term_map.h"
@@ -71,11 +74,11 @@ struct CoordinatorOptions {
 /// \brief Coordinator over K in-process shard databases. Query methods
 /// are const and thread-safe against each other and against writes;
 /// write methods serialize on the coordinator's writer lane.
-class Coordinator {
+class Coordinator : public QueryBackend {
  public:
   explicit Coordinator(CoordinatorOptions options);
   Coordinator() : Coordinator(CoordinatorOptions()) {}
-  ~Coordinator();
+  ~Coordinator() override;
 
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
@@ -126,18 +129,21 @@ class Coordinator {
 
   // -- Configuration (forwarded to every shard) -----------------------------
 
-  void set_snapshot_isolation(bool on);
+  void set_snapshot_isolation(bool on) override;
   void set_async_compaction(bool on);
   void set_compaction_ratio(double ratio);
   void set_reasoning(bool on) SEDGE_EXCLUDES(opt_mu_);
   void set_merge_join(bool on) SEDGE_EXCLUDES(opt_mu_);
   void set_optimizer(bool on) SEDGE_EXCLUDES(opt_mu_);
-  sparql::Executor::Options exec_options() const SEDGE_EXCLUDES(opt_mu_);
 
   // -- Querying -------------------------------------------------------------
 
-  Result<sparql::QueryResult> Query(std::string_view sparql) const;
-  Result<uint64_t> QueryCount(std::string_view sparql) const;
+  /// `at` receives the epoch of the shard pins and option set the query
+  /// ran with.
+  Result<sparql::QueryResult> Query(std::string_view sparql,
+                                    QueryEpoch* at = nullptr) const override;
+  Result<uint64_t> QueryCount(std::string_view sparql,
+                              QueryEpoch* at = nullptr) const override;
 
   // -- Introspection --------------------------------------------------------
 
@@ -153,20 +159,18 @@ class Coordinator {
   uint64_t num_triples() const;
   bool has_data() const;
 
-  /// Monotone content version: bumps on every load / write batch.
-  /// Compactions do NOT bump it — a fold re-encodes ids but preserves
-  /// content, so version-keyed caches (serve's result cache) stay valid
-  /// across folds. Exactly the invalidation key a distributed
-  /// generation/writes watermark pair would give a single store.
-  uint64_t content_version() const { return version_.load(); }
-  /// Bumped by every set_reasoning/set_merge_join/set_optimizer (and by
-  /// nothing else): the options half of a version-keyed cache entry.
-  uint64_t options_version() const { return options_version_.load(); }
+  /// generation: the monotone content version, bumped by every load /
+  /// write batch. Compactions do NOT bump it — a fold re-encodes ids but
+  /// preserves content, so epoch-keyed caches (serve's result cache)
+  /// stay valid across folds. writes: always 0 (the content version
+  /// covers writes). options: bumped by every set_reasoning /
+  /// set_merge_join / set_optimizer and by nothing else.
+  QueryEpoch epoch() const override SEDGE_EXCLUDES(opt_mu_);
 
   /// Coordinator-level dist_* metrics (fan-out, pushdown ratio, join
   /// path counters, skew gauges). Shard engine metrics live in each
   /// shard's own Database::metrics().
-  obs::MetricsRegistry& metrics() const { return metrics_; }
+  obs::MetricsRegistry& metrics() const override { return metrics_; }
 
   /// Global-id binding table (the coordinator-side mirror of
   /// sparql::BindingTable). Rows hold TermMap global ids;
@@ -184,28 +188,35 @@ class Coordinator {
   };
 
  private:
-  /// One per-query consistent view: every shard's pinned generation
-  /// (null for shards with no data yet).
-  using ShardPins =
-      std::vector<std::shared_ptr<const store::StoreGeneration>>;
+  /// One query's consistent inputs: every shard's pinned generation
+  /// (null for shards with no data yet), the executor options every
+  /// subquery runs with, and the epoch they add up to.
+  struct QueryView {
+    std::vector<std::shared_ptr<const store::StoreGeneration>> pins;
+    sparql::Executor::Options options;
+    QueryEpoch epoch;
+  };
 
   class GlobalDecoder;  // sparql::ValueDecoder over the term map
 
   Result<GlobalTable> EvaluateGroupDist(sparql::GroupPattern group,
-                                        const ShardPins& pins) const;
+                                        const QueryView& view) const;
   /// Runs one decomposed subquery on every shard, reconciles ids, and
   /// unions the per-shard results (deduplicated under a cloud shard).
   Result<GlobalTable> FanOutSubquery(const ShardSubquery& sub,
-                                     const ShardPins& pins) const;
+                                     const QueryView& view) const;
   GlobalTable JoinGroups(std::vector<GlobalTable> tables) const;
   /// Joins two binding tables: merge join when both arrive sorted on
   /// exactly their common variables, hash join otherwise.
   GlobalTable JoinPair(GlobalTable left, GlobalTable right) const;
-  Status ApplyResidual(sparql::GroupPattern residual, const ShardPins& pins,
+  Status ApplyResidual(sparql::GroupPattern residual, const QueryView& view,
                        GlobalTable* table) const;
-  Result<GlobalTable> ExecuteDistributed(sparql::Query query) const;
+  /// The shared body of Query and QueryCount: pins a QueryView (its
+  /// epoch goes to `at`), parses `text`, and runs the distributed
+  /// pipeline through the modifiers.
+  Result<GlobalTable> RunQuery(std::string_view text, QueryEpoch* at) const;
 
-  ShardPins PinShards() const SEDGE_EXCLUDES(write_mu_);
+  QueryView PinQueryView() const SEDGE_EXCLUDES(write_mu_, opt_mu_);
   void UpdateSkewGaugesLocked() SEDGE_REQUIRES(write_mu_);
 
   Partitioner partitioner_;
@@ -215,14 +226,15 @@ class Coordinator {
   /// Serializes multi-shard write batches above the shards' own writer
   /// lanes (acquired before any Database::write_mu_; docs/locking.md).
   mutable util::Mutex write_mu_;
-  /// Leaf: executor toggles for shard subqueries.
+  /// Leaf: executor toggles for shard subqueries and their version,
+  /// which each setter bumps in the same critical section, so a query
+  /// copies an option set and the version naming it in one read.
   mutable util::Mutex opt_mu_;
   sparql::Executor::Options exec_options_ SEDGE_GUARDED_BY(opt_mu_);
+  uint64_t options_version_ SEDGE_GUARDED_BY(opt_mu_) = 0;
 
+  // Content version (see epoch()); bumped under write_mu_.
   std::atomic<uint64_t> version_{0};
-  // Bumped after a toggle reached every shard, so an entry cached under
-  // the old version was computed with the old options or a later state.
-  std::atomic<uint64_t> options_version_{0};
 
   mutable obs::MetricsRegistry metrics_;
   struct Met {

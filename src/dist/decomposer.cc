@@ -42,7 +42,7 @@ Decomposition Decompose(sparql::GroupPattern group, bool colocate_subjects) {
   out.patterns_total = group.triples.size();
 
   // Star grouping: patterns sharing a subject slot, in first-seen order
-  // (deterministic subquery shapes for plan-cache friendliness).
+  // (deterministic subquery shapes).
   std::vector<std::string> keys;
   for (TriplePattern& tp : group.triples) {
     const std::string key =

@@ -3,9 +3,6 @@
 #include <locale>
 #include <utility>
 
-#include "sparql/executor.h"
-#include "sparql/sparql_parser.h"
-
 namespace sedge::serve {
 
 namespace {
@@ -35,28 +32,43 @@ void WarmCtypeCaches() {
 
 }  // namespace
 
+// --------------------------------------------------------------- ResultCache
+
+std::shared_ptr<const QueryService::CachedResult>
+QueryService::ResultCache::Lookup(const QueryEpoch& epoch,
+                                  const std::string& text) {
+  util::MutexLock lk(&mu_);
+  if (!initialized_ || !(epoch == epoch_)) {
+    // Every cached entry is stale at once. (The very first fill is not an
+    // invalidation.)
+    if (initialized_ && !entries_.empty()) invalidations_->Increment();
+    entries_.clear();
+    epoch_ = epoch;
+    initialized_ = true;
+    return nullptr;
+  }
+  const auto it = entries_.find(text);
+  return it != entries_.end() ? it->second : nullptr;
+}
+
+void QueryService::ResultCache::Store(
+    const QueryEpoch& epoch, const std::string& text,
+    std::shared_ptr<const CachedResult> entry) {
+  util::MutexLock lk(&mu_);
+  if (!initialized_ || !(epoch == epoch_)) return;
+  if (entries_.size() >= max_entries_) return;  // keep the hot set
+  entries_.emplace(text, std::move(entry));
+}
+
 // -------------------------------------------------------------- QueryService
 
-QueryService::QueryService(Database* db, ServeOptions options)
-    : QueryService(db, nullptr, options) {}
-
-QueryService::QueryService(ShardedDatabase* db, ServeOptions options)
-    : QueryService(nullptr, db, options) {}
-
-QueryService::QueryService(Database* db, ShardedDatabase* sharded,
-                           ServeOptions options)
-    : db_(db), sharded_(sharded), options_(options) {
-  obs::MetricsRegistry& reg = db_ != nullptr ? db_->metrics()
-                                             : sharded_->metrics();
+QueryService::QueryService(QueryBackend* backend, ServeOptions options)
+    : backend_(backend), options_(options) {
+  obs::MetricsRegistry& reg = backend_->metrics();
   met_.admitted_total = reg.GetCounter("serve_requests_total");
   met_.rejected_total = reg.GetCounter("serve_rejected_total");
   met_.completed_total = reg.GetCounter("serve_completed_total");
   met_.errors_total = reg.GetCounter("serve_errors_total");
-  met_.plan_cache_hits_total = reg.GetCounter("serve_plan_cache_hits_total");
-  met_.plan_cache_misses_total =
-      reg.GetCounter("serve_plan_cache_misses_total");
-  met_.plan_cache_invalidations_total =
-      reg.GetCounter("serve_plan_cache_invalidations_total");
   met_.result_cache_hits_total =
       reg.GetCounter("serve_result_cache_hits_total");
   met_.result_cache_misses_total =
@@ -68,19 +80,12 @@ QueryService::QueryService(Database* db, ShardedDatabase* sharded,
   met_.execute_seconds = reg.GetHistogram("serve_execute_seconds");
   met_.queue_depth = reg.GetGauge("serve_queue_depth");
   met_.readers = reg.GetGauge("serve_readers");
-  cache_ = std::make_unique<EpochCache<CachedPlan>>(
-      4096, met_.plan_cache_invalidations_total);
-  result_cache_ = std::make_unique<EpochCache<CachedResult>>(
+  result_cache_ = std::make_unique<ResultCache>(
       1024, met_.result_cache_invalidations_total);
 
   // Readers pin snapshots from arbitrary threads; the writer must stop
-  // mutating published stores. In distributed mode every shard gets the
-  // same treatment.
-  if (db_ != nullptr) {
-    db_->set_snapshot_isolation(true);
-  } else {
-    sharded_->set_snapshot_isolation(true);
-  }
+  // mutating published stores (on every shard of a coordinator).
+  backend_->set_snapshot_isolation(true);
   WarmCtypeCaches();
 
   const int readers = options_.readers > 0 ? options_.readers : 1;
@@ -188,10 +193,41 @@ void QueryService::Serve(Request req) {
       SecondsBetween(req.admitted, picked_up));
 
   Response resp;
-  if (db_ != nullptr) {
-    ServeLocal(req, &resp);
+  const QueryEpoch epoch = backend_->epoch();
+  if (std::shared_ptr<const CachedResult> cached =
+          result_cache_->Lookup(epoch, req.text)) {
+    met_.result_cache_hits_total->Increment();
+    resp.result_cache_hit = true;
+    resp.result = cached->result;
+    resp.rows = cached->rows;
+    resp.generation = epoch.generation;
+    resp.writes = epoch.writes;
   } else {
-    ServeSharded(req, &resp);
+    met_.result_cache_misses_total->Increment();
+    QueryEpoch at;
+    if (options_.decode_results) {
+      Result<sparql::QueryResult> result = backend_->Query(req.text, &at);
+      resp.status = result.status();
+      if (result.ok()) {
+        resp.result = std::move(result).value();
+        resp.rows = resp.result.size();
+      }
+    } else {
+      Result<uint64_t> rows = backend_->QueryCount(req.text, &at);
+      resp.status = rows.status();
+      if (rows.ok()) resp.rows = rows.value();
+    }
+    resp.generation = at.generation;
+    resp.writes = at.writes;
+    // A query that raced a write, swap or toggle answered at a later
+    // epoch than the one looked up; only an answer at the looked-up
+    // epoch is stored.
+    if (resp.status.ok() && at == epoch) {
+      auto entry = std::make_shared<CachedResult>();
+      entry->result = resp.result;
+      entry->rows = resp.rows;
+      result_cache_->Store(epoch, req.text, std::move(entry));
+    }
   }
 
   const Clock::time_point done = Clock::now();
@@ -199,132 +235,6 @@ void QueryService::Serve(Request req) {
   met_.request_seconds->RecordSeconds(SecondsBetween(req.admitted, done));
   (resp.status.ok() ? met_.completed_total : met_.errors_total)->Increment();
   req.promise.set_value(std::move(resp));
-}
-
-void QueryService::ServeLocal(const Request& req, Response* resp) {
-  // One coherent view: the pinned snapshot plus the execution switches
-  // and their version (plan and execution must agree on the toggles, and
-  // the cache keys must name the toggles the entry was computed with).
-  const Database::ReadView view = db_->AcquireReadView();
-  const std::shared_ptr<const store::StoreGeneration>& snap = view.snap;
-  if (snap == nullptr) {
-    resp->status = Status::InvalidArgument("no data loaded");
-    return;
-  }
-  resp->generation = snap->number();
-  resp->writes = snap->writes();
-  const Epoch result_epoch{snap->number(), snap->writes(),
-                           view.options_version};
-  const Epoch plan_epoch{snap->number(), 0, view.options_version};
-
-  // Result cache first: under snapshot isolation the epoch identifies the
-  // content and the options exactly, so a hit skips parse, plan and
-  // execution outright.
-  if (std::shared_ptr<const CachedResult> cached =
-          result_cache_->Lookup(result_epoch, req.text)) {
-    resp->result_cache_hit = true;
-    met_.result_cache_hits_total->Increment();
-    resp->result = cached->result;
-    resp->rows = cached->rows;
-    return;
-  }
-  met_.result_cache_misses_total->Increment();
-
-  const sparql::Executor::Options& exec_options = view.options;
-  std::shared_ptr<const CachedPlan> plan = cache_->Lookup(plan_epoch, req.text);
-  if (plan != nullptr) {
-    resp->plan_cache_hit = true;
-    met_.plan_cache_hits_total->Increment();
-  } else {
-    met_.plan_cache_misses_total->Increment();
-    Result<sparql::Query> parsed = sparql::ParseQuery(req.text);
-    if (!parsed.ok()) {
-      resp->status = parsed.status();
-    } else {
-      CachedPlan built{std::move(parsed).value(), {}};
-      // Plan against this worker's pinned snapshot: the estimator reads
-      // the same frozen store the order will be cached for.
-      const sparql::Executor planner(snap, exec_options);
-      built.order = planner.PlanOrder(built.query.where.triples);
-      plan = std::make_shared<const CachedPlan>(std::move(built));
-      cache_->Store(plan_epoch, req.text, plan);
-    }
-  }
-  if (!resp->status.ok()) return;
-
-  sparql::Executor executor(snap, exec_options);
-  executor.set_plan_hint(&plan->order);
-  if (options_.decode_results) {
-    Result<sparql::QueryResult> result = executor.Execute(plan->query);
-    if (result.ok()) {
-      resp->result = std::move(result).value();
-      resp->rows = resp->result.size();
-    } else {
-      resp->status = result.status();
-    }
-  } else {
-    Result<sparql::BindingTable> table = executor.ExecuteEncoded(plan->query);
-    if (table.ok()) {
-      resp->rows = table.value().rows.size();
-    } else {
-      resp->status = table.status();
-    }
-  }
-  db_->AccumulateQueryStats(executor);
-  if (resp->status.ok()) {
-    auto entry = std::make_shared<CachedResult>();
-    entry->result = resp->result;
-    entry->rows = resp->rows;
-    result_cache_->Store(result_epoch, req.text, std::move(entry));
-  }
-}
-
-void QueryService::ServeSharded(const Request& req, Response* resp) {
-  // The coordinator's content version plays the (generation, writes)
-  // role: it bumps on every load/write batch and — deliberately — not on
-  // compactions, which re-encode shard ids but preserve content.
-  const uint64_t version = sharded_->content_version();
-  const uint64_t options_version = sharded_->options_version();
-  const Epoch epoch{version, 0, options_version};
-  resp->generation = version;
-  resp->writes = 0;
-
-  if (std::shared_ptr<const CachedResult> cached =
-          result_cache_->Lookup(epoch, req.text)) {
-    resp->result_cache_hit = true;
-    met_.result_cache_hits_total->Increment();
-    resp->result = cached->result;
-    resp->rows = cached->rows;
-    return;
-  }
-  met_.result_cache_misses_total->Increment();
-
-  if (options_.decode_results) {
-    Result<sparql::QueryResult> result = sharded_->Query(req.text);
-    if (result.ok()) {
-      resp->result = std::move(result).value();
-      resp->rows = resp->result.size();
-    } else {
-      resp->status = result.status();
-    }
-  } else {
-    Result<uint64_t> rows = sharded_->QueryCount(req.text);
-    if (rows.ok()) {
-      resp->rows = rows.value();
-    } else {
-      resp->status = rows.status();
-    }
-  }
-  // Unlike the single-store path there is no pinned snapshot tying the
-  // result to `version`; only cache when no write or toggle landed while
-  // the query ran (the per-shard pins were then all taken at this epoch).
-  if (resp->status.ok() && sharded_->content_version() == version &&
-      sharded_->options_version() == options_version) {
-    auto entry = std::make_shared<CachedResult>();
-    entry->result = resp->result;
-    entry->rows = resp->rows;
-    result_cache_->Store(epoch, req.text, std::move(entry));
-  }
 }
 
 }  // namespace sedge::serve

@@ -240,14 +240,6 @@ Executor::Executor(std::shared_ptr<const store::StoreGeneration> snapshot,
 
 Executor::~Executor() = default;
 
-std::vector<size_t> Executor::PlanOrder(
-    const std::vector<TriplePattern>& triples) const {
-  std::vector<size_t> order;
-  order.reserve(triples.size());
-  for (const PlanStep& step : Plan(triples)) order.push_back(step.pattern);
-  return order;
-}
-
 std::vector<PlanStep> Executor::Plan(
     const std::vector<TriplePattern>& triples) const {
   if (!options_.use_optimizer) {
@@ -438,13 +430,7 @@ Result<BindingTable> Executor::EvaluateBgp(
     const std::vector<TriplePattern>& triples) {
   BindingTable table = BindingTable::Unit();
   std::vector<PlanStep> plan;
-  // A cached plan covers the top-level BGP only; consume the hint so a
-  // nested group (union alternative) never inherits a foreign order.
-  const std::vector<size_t>* hint = plan_hint_;
-  plan_hint_ = nullptr;
-  if (hint != nullptr && hint->size() == triples.size()) {
-    for (const size_t idx : *hint) plan.push_back({idx, 0, 0});
-  } else if (profile_ != nullptr) {
+  if (profile_ != nullptr) {
     obs::ProfileNode* optimize = profile_->AddChild("optimize");
     obs::ProfileTimer plan_timer(optimize);
     plan = Plan(triples);
@@ -453,7 +439,7 @@ Result<BindingTable> Executor::EvaluateBgp(
   } else {
     plan = Plan(triples);
   }
-  const bool estimated = hint == nullptr && options_.use_optimizer;
+  const bool estimated = options_.use_optimizer;
   for (const PlanStep& step : plan) {
     const TriplePattern& tp = triples[step.pattern];
     if (profile_ == nullptr) {

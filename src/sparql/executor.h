@@ -86,19 +86,10 @@ class Executor {
   /// Same pipeline, but stops before decoding (benchmarks measure this).
   Result<BindingTable> ExecuteEncoded(const Query& query);
 
-  /// Join order chosen for `triples` (exposed for tests and Table 3).
-  std::vector<size_t> PlanOrder(const std::vector<TriplePattern>& triples) const;
-  /// The same order with the planner's row and cost estimate per step
-  /// (empty estimates when the optimizer is off: textual order).
+  /// Join order chosen for `triples`, with the planner's row and cost
+  /// estimate per step (empty estimates when the optimizer is off:
+  /// textual order).
   std::vector<PlanStep> Plan(const std::vector<TriplePattern>& triples) const;
-
-  /// Supplies a precomputed join order for the top-level BGP, consumed by
-  /// the first EvaluateBgp (nested union groups still plan themselves).
-  /// The serve::QueryService's per-generation plan cache injects orders it
-  /// computed once per (generation, query) so repeated requests skip the
-  /// estimator walk. Ignored when its size does not match the pattern
-  /// count. The pointee must outlive the Execute* call.
-  void set_plan_hint(const std::vector<size_t>* order) { plan_hint_ = order; }
 
   const Options& options() const { return options_; }
 
@@ -172,7 +163,6 @@ class Executor {
   const store::TripleStore* store_;
   Options options_;
   ExecutorStats stats_;
-  const std::vector<size_t>* plan_hint_ = nullptr;  // see set_plan_hint
   obs::ProfileNode* profile_ = nullptr;
   obs::ProfileNode* tp_node_ = nullptr;  // current pattern's span, if traced
   std::unique_ptr<Decoder> decoder_;

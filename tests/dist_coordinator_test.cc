@@ -2,21 +2,23 @@
 // decomposition with filter pushdown, and the Coordinator against a
 // single-database oracle — including cloud-base deduplication, write
 // routing, provisional-id reconciliation across shard re-encodes, the
-// dist_* metric surface, and the ShardedDatabase facade under the
-// concurrent query service.
+// dist_* metric surface, one option set per query under racing toggles,
+// and the coordinator behind the concurrent query service.
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/database.h"
-#include "core/sharded_database.h"
 #include "dist/coordinator.h"
 #include "dist/decomposer.h"
 #include "dist/partitioner.h"
+#include "ontology/ontology.h"
 #include "rdf/term.h"
 #include "rdf/triple.h"
 #include "rdf/vocabulary.h"
@@ -473,17 +475,97 @@ TEST(Coordinator, EmptyCoordinatorRejectsQueries) {
   EXPECT_FALSE(coord.Query("SELECT ?s WHERE { ?s ?p ?o }").ok());
 }
 
-// -------------------------------------------------- facade + query service
+// A reasoning toggle racing a query must land wholly before or after it:
+// every star group and union alternative of one query runs with one
+// option set, and the answer reports that set's version.
+TEST(Coordinator, ToggledReasoningNeverTearsAQuery) {
+  const std::string student = kNs + std::string("Student");
+  const std::string grad = kNs + std::string("GradStudent");
+  const std::string org = kNs + std::string("Org");
+  const std::string lab = kNs + std::string("Lab");
+  ontology::Ontology onto;
+  onto.AddSubClassOf(grad, student);
+  onto.AddSubClassOf(lab, org);
+  // Even people are asserted Students, odd ones only GradStudents; org 1
+  // is asserted only a Lab. So each half of the query gains rows under
+  // reasoning, and a torn mix (one group with reasoning, the other
+  // without) matches neither oracle.
+  rdf::Graph g;
+  for (int i = 0; i < 12; ++i) {
+    g.Add(I(Person(i)), I(rdf::kRdfType), I(i % 2 == 0 ? student : grad));
+    g.Add(I(Person(i)), I(kNs + std::string("worksAt")), I(Org(i % 3)));
+  }
+  for (int o = 0; o < 3; ++o) {
+    g.Add(I(Org(o)), I(rdf::kRdfType), I(o == 1 ? lab : org));
+  }
+  const std::string q = "SELECT ?p ?o WHERE { ?p a <" + student +
+                        "> . ?p <http://ex.org/worksAt> ?o . ?o a <" + org +
+                        "> }";
+  ASSERT_EQ(Decompose(ParseWhere(q), /*colocate_subjects=*/true).groups.size(),
+            2u);
 
-TEST(ShardedDatabase, FacadeServesThroughTheQueryService) {
-  ShardedDatabase db(3);
-  db.set_reasoning(false);
-  ASSERT_TRUE(db.LoadData(SmallGraph()).ok());
-  const uint64_t v0 = db.content_version();
+  Database oracle;
+  oracle.LoadOntology(onto);
+  ASSERT_TRUE(oracle.LoadData(g).ok());
+  const std::string with_reasoning = Canonical(oracle.Query(q).value());
+  oracle.set_reasoning(false);
+  const std::string without_reasoning = Canonical(oracle.Query(q).value());
+  ASSERT_NE(with_reasoning, without_reasoning);
+
+  Coordinator coord(
+      MakeOptions(PartitionPolicy::kSubjectHash, 3, /*cloud_base=*/false));
+  coord.LoadOntology(onto);
+  ASSERT_TRUE(coord.LoadData(g).ok());
+  ASSERT_EQ(coord.epoch().options, 0u);  // reasoning on at version 0
+
+  std::atomic<bool> done{false};
+  std::atomic<int> torn{0};
+  std::atomic<int> mislabeled{0};
+  std::thread toggler([&] {
+    // The k-th toggle leaves reasoning on exactly when k is even.
+    for (uint64_t k = 1; !done.load(); ++k) {
+      coord.set_reasoning(k % 2 == 0);
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 2; ++c) {
+    clients.emplace_back([&] {
+      for (int i = 0; i < 150; ++i) {
+        QueryEpoch at;
+        const auto r = coord.Query(q, &at);
+        if (!r.ok()) {
+          ++torn;
+          continue;
+        }
+        const std::string got = Canonical(r.value());
+        if (got != with_reasoning && got != without_reasoning) ++torn;
+        const bool reasoning = at.options % 2 == 0;
+        if (got != (reasoning ? with_reasoning : without_reasoning)) {
+          ++mislabeled;
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  done.store(true);
+  toggler.join();
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_EQ(mislabeled.load(), 0);
+}
+
+// ------------------------------------------------ behind the query service
+
+TEST(Coordinator, ServesThroughTheQueryService) {
+  Coordinator coord(
+      MakeOptions(PartitionPolicy::kSubjectHash, 3, /*cloud_base=*/false));
+  coord.set_reasoning(false);
+  ASSERT_TRUE(coord.LoadData(SmallGraph()).ok());
+  const uint64_t v0 = coord.epoch().generation;
 
   serve::ServeOptions sopts;
   sopts.readers = 2;
-  serve::QueryService service(&db, sopts);
+  serve::QueryService service(&coord, sopts);
   const std::string q =
       "SELECT ?p ?o WHERE { ?p <http://ex.org/worksAt> ?o }";
 
@@ -500,11 +582,11 @@ TEST(ShardedDatabase, FacadeServesThroughTheQueryService) {
   EXPECT_EQ(Canonical(repeat.result), Canonical(first.result));
 
   // A routed write bumps the version and invalidates.
-  ASSERT_TRUE(db.Insert(rdf::Triple{I(Person(50)),
-                                    I(kNs + std::string("worksAt")),
-                                    I(Org(0))})
+  ASSERT_TRUE(coord.Insert(rdf::Triple{I(Person(50)),
+                                       I(kNs + std::string("worksAt")),
+                                       I(Org(0))})
                   .ok());
-  EXPECT_GT(db.content_version(), v0);
+  EXPECT_GT(coord.epoch().generation, v0);
   auto after = service.Execute(q);
   ASSERT_TRUE(after.status.ok());
   EXPECT_FALSE(after.result_cache_hit);

@@ -14,7 +14,7 @@
 // writes.
 //
 // Phase 2 (concurrent): client threads hammer a QueryService over a
-// ShardedDatabase while a writer streams batches and kicks per-shard
+// dist::Coordinator while a writer streams batches and kicks per-shard
 // async folds. Every response must be OK (or a clean queue rejection),
 // and after shutdown the quiesced coordinator must still equal an
 // oracle holding the final content. Runs under the TSan CI job, where
@@ -29,7 +29,6 @@
 #include <gtest/gtest.h>
 
 #include "core/database.h"
-#include "core/sharded_database.h"
 #include "dist/coordinator.h"
 #include "rdf/term.h"
 #include "rdf/triple.h"
@@ -172,7 +171,9 @@ TEST(DistProperty, ConcurrentShardedServeStaysConsistent) {
   rdf::Graph base;
   for (size_t i = 0; i < base_end; ++i) base.Add(full.triples()[i]);
 
-  ShardedDatabase db(kShards);
+  CoordinatorOptions opts;
+  opts.partition.shards = kShards;
+  Coordinator db(opts);
   db.set_reasoning(false);
   db.set_async_compaction(true);
   db.set_compaction_ratio(0.0);
@@ -234,7 +235,7 @@ TEST(DistProperty, ConcurrentShardedServeStaysConsistent) {
 
   // Quiesced, the coordinator holds exactly the full graph — compare
   // against a fresh oracle.
-  ASSERT_TRUE(db.WaitForCompaction().ok());
+  ASSERT_TRUE(db.WaitForCompactions().ok());
   Database oracle;
   oracle.set_reasoning(false);
   ASSERT_TRUE(oracle.LoadData(full).ok());

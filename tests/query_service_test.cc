@@ -1,8 +1,9 @@
 // serve::QueryService unit tests: admission-queue semantics (bounded
 // depth, kResourceExhausted backpressure, clean shutdown draining every
-// admitted request), plan- and result-cache invalidation across
-// Compact()/CompactAsync() swaps, writes and option toggles, and the
-// serve_* metrics series.
+// admitted request), result-cache invalidation across
+// Compact()/CompactAsync() swaps, writes and option toggles — over a
+// Database and over a 3-shard dist::Coordinator through the same
+// constructor — and the serve_* metrics series.
 //
 // Pause() makes the queue tests deterministic: with the readers held
 // idle, admission outcomes depend only on the submit count, never on how
@@ -17,7 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "core/database.h"
-#include "core/sharded_database.h"
+#include "dist/coordinator.h"
 #include "ontology/ontology.h"
 #include "rdf/vocabulary.h"
 #include "serve/query_service.h"
@@ -55,8 +56,19 @@ std::unique_ptr<Database> MakeDatabase() {
   return db;
 }
 
-uint64_t CounterValue(const Database& db, const std::string& name) {
-  return db.metrics().GetCounter(name)->value();
+/// The same seed graph over three subject-hash shards.
+std::unique_ptr<dist::Coordinator> MakeCoordinator() {
+  dist::CoordinatorOptions options;
+  options.partition.shards = 3;
+  auto coord = std::make_unique<dist::Coordinator>(options);
+  coord->set_reasoning(false);
+  coord->set_compaction_ratio(0);
+  EXPECT_TRUE(coord->LoadData(SeedGraph()).ok());
+  return coord;
+}
+
+uint64_t CounterValue(const QueryBackend& backend, const std::string& name) {
+  return backend.metrics().GetCounter(name)->value();
 }
 
 TEST(QueryService, ExecutesQueriesAndRecordsMetrics) {
@@ -169,32 +181,20 @@ TEST(QueryService, ShutdownDrainsAdmittedRequestsThenRejects) {
   service.Shutdown();  // idempotent
 }
 
-TEST(QueryService, PlanCacheInvalidatesAcrossCompactionSwaps) {
+TEST(QueryService, ResultCacheInvalidatesAcrossCompactionSwaps) {
   auto db = MakeDatabase();
   serve::ServeOptions opts;
   opts.readers = 1;
   serve::QueryService service(db.get(), opts);
 
-  const auto hits = [&] {
-    return CounterValue(*db, "serve_plan_cache_hits_total");
-  };
-  const auto misses = [&] {
-    return CounterValue(*db, "serve_plan_cache_misses_total");
-  };
   const auto invalidations = [&] {
-    return CounterValue(*db, "serve_plan_cache_invalidations_total");
+    return CounterValue(*db, "serve_result_cache_invalidations_total");
   };
 
-  EXPECT_FALSE(service.Execute(kStarQuery).plan_cache_hit);
-  EXPECT_EQ(misses(), 1u);
+  EXPECT_FALSE(service.Execute(kStarQuery).result_cache_hit);
   // A repeat inside the same content epoch short-circuits at the result
-  // cache; the plan cache is not even consulted.
-  {
-    const serve::QueryService::Response repeat = service.Execute(kStarQuery);
-    EXPECT_TRUE(repeat.result_cache_hit);
-    EXPECT_FALSE(repeat.plan_cache_hit);
-  }
-  EXPECT_EQ(hits(), 0u);
+  // cache.
+  EXPECT_TRUE(service.Execute(kStarQuery).result_cache_hit);
 
   const auto insert_match = [&](uint64_t s) {
     rdf::Graph batch;
@@ -205,42 +205,39 @@ TEST(QueryService, PlanCacheInvalidatesAcrossCompactionSwaps) {
     ASSERT_TRUE(db->Insert(batch).ok());
   };
 
-  // Writes alone publish new snapshots but keep the base generation: the
-  // result cache drops its epoch, the cached plan stays valid (ids are
-  // stable within a generation).
-  insert_match(50);
-  EXPECT_TRUE(service.Execute(kStarQuery).plan_cache_hit);
-  EXPECT_EQ(hits(), 1u);
-  EXPECT_EQ(invalidations(), 0u);
-
   // A synchronous fold swaps the base generation: wholesale invalidation.
+  insert_match(50);
   const uint64_t gen_before = db->store_generation();
   ASSERT_TRUE(db->Compact().ok());
   ASSERT_GT(db->store_generation(), gen_before);
+  const uint64_t invalidated = invalidations();
   const serve::QueryService::Response after_sync =
       service.Execute(kStarQuery);
-  EXPECT_FALSE(after_sync.plan_cache_hit);
+  EXPECT_FALSE(after_sync.result_cache_hit);
   EXPECT_EQ(after_sync.generation, db->store_generation());
-  EXPECT_EQ(invalidations(), 1u);
+  EXPECT_EQ(invalidations(), invalidated + 1);
   EXPECT_TRUE(service.Execute(kStarQuery).result_cache_hit);
 
   // An async fold's swap invalidates the same way.
   insert_match(51);
   ASSERT_TRUE(db->CompactAsync().ok());
   ASSERT_TRUE(db->WaitForCompaction().ok());
-  EXPECT_FALSE(service.Execute(kStarQuery).plan_cache_hit);
-  EXPECT_EQ(invalidations(), 2u);
+  const serve::QueryService::Response after_async =
+      service.Execute(kStarQuery);
+  EXPECT_FALSE(after_async.result_cache_hit);
+  EXPECT_EQ(after_async.generation, db->store_generation());
+  EXPECT_EQ(invalidations(), invalidated + 2);
   EXPECT_TRUE(service.Execute(kStarQuery).result_cache_hit);
 
   // Rows reflect the post-fold state: 20 seed + 2 inserted matches.
   EXPECT_EQ(service.Execute(kStarQuery).rows, 22u);
 }
 
-TEST(QueryService, ResultCacheServesRepeatsAndInvalidatesOnWrites) {
-  auto db = MakeDatabase();
+template <typename Backend>
+void ExpectResultCacheServesRepeatsAndInvalidatesOnWrites(Backend* db) {
   serve::ServeOptions opts;
   opts.readers = 1;
-  serve::QueryService service(db.get(), opts);
+  serve::QueryService service(db, opts);
 
   const auto hits = [&] {
     return CounterValue(*db, "serve_result_cache_hits_total");
@@ -264,8 +261,9 @@ TEST(QueryService, ResultCacheServesRepeatsAndInvalidatesOnWrites) {
   EXPECT_EQ(repeat.rows, first.rows);
   EXPECT_EQ(repeat.result.rows, first.result.rows);
 
-  // Any write bumps the snapshot's write watermark: the whole epoch is
-  // stale and the next lookup drops it.
+  // Any write moves the epoch (a Database's write watermark, a
+  // coordinator's content version): the whole epoch is stale and the
+  // next lookup drops it.
   rdf::Graph batch;
   batch.Add(rdf::Term::Iri(Iri("s", 90)), rdf::Term::Iri(Iri("p", 0)),
             rdf::Term::Iri(Iri("o", 0)));
@@ -281,10 +279,20 @@ TEST(QueryService, ResultCacheServesRepeatsAndInvalidatesOnWrites) {
   EXPECT_TRUE(service.Execute(kStarQuery).result_cache_hit);
 }
 
-// The execution switches are part of both cache keys: a toggle must never
-// be answered from a plan or result computed under the previous options.
-template <typename Db>
-void ExpectTogglesInvalidateCaches(Db* db) {
+TEST(QueryService, ResultCacheServesRepeatsAndInvalidatesOnWrites) {
+  auto db = MakeDatabase();
+  ExpectResultCacheServesRepeatsAndInvalidatesOnWrites(db.get());
+}
+
+TEST(QueryService, ShardedResultCacheServesRepeatsAndInvalidatesOnWrites) {
+  auto coord = MakeCoordinator();
+  ExpectResultCacheServesRepeatsAndInvalidatesOnWrites(coord.get());
+}
+
+// The execution switches are part of the cache key: a toggle must never
+// be answered from a result computed under the previous options.
+template <typename Backend>
+void ExpectTogglesInvalidateCaches(Backend* db) {
   ontology::Ontology onto;
   onto.AddSubClassOf("http://e.org/Barometer", "http://e.org/Sensor");
   db->LoadOntology(onto);
@@ -301,7 +309,6 @@ void ExpectTogglesInvalidateCaches(Db* db) {
   EXPECT_EQ(db->Query(q).value().size(), 0u);
   const serve::QueryService::Response off = service.Execute(q);
   EXPECT_FALSE(off.result_cache_hit);
-  EXPECT_FALSE(off.plan_cache_hit);
   EXPECT_EQ(off.rows, 0u);
   db->set_reasoning(true);
   EXPECT_EQ(service.Execute(q).rows, 1u);
@@ -320,14 +327,16 @@ void ExpectTogglesInvalidateCaches(Db* db) {
   }
 }
 
-TEST(QueryService, OptionTogglesInvalidateCachedPlansAndResults) {
+TEST(QueryService, OptionTogglesInvalidateCachedResults) {
   Database db;
   ExpectTogglesInvalidateCaches(&db);
 }
 
 TEST(QueryService, ShardedOptionTogglesInvalidateCachedResults) {
-  ShardedDatabase db;
-  ExpectTogglesInvalidateCaches(&db);
+  dist::CoordinatorOptions options;
+  options.partition.shards = 3;
+  dist::Coordinator coord(options);
+  ExpectTogglesInvalidateCaches(&coord);
 }
 
 TEST(QueryService, ConcurrentClientsSeeConsistentSnapshots) {

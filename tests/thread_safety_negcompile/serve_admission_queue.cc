@@ -6,6 +6,7 @@
 //
 // MUST NOT COMPILE under Clang with -Werror=thread-safety.
 
+#include "core/database.h"
 #include "serve/query_service.h"
 
 namespace sedge {
